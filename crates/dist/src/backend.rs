@@ -824,7 +824,7 @@ impl Backend for RemoteBackend {
 mod tests {
     use super::*;
     use dtm_core::{DtmConfig, FaultConfig, FaultScenario, PolicySpec, SimConfig, WatchdogConfig};
-    use dtm_harness::cache::CellKey;
+    use dtm_harness::cache::{cell_keys, CellKey};
     use dtm_harness::{ConfigVariant, SweepSpec};
     use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
     use std::sync::Arc;
@@ -844,21 +844,7 @@ mod tests {
             .policies([PolicySpec::baseline()]);
         let cells = spec.cells();
         let lib = Arc::new(TraceLibrary::new(TraceGenConfig::fast_test()));
-        let version = env!("CARGO_PKG_VERSION");
-        let keys: Vec<CellKey> = cells
-            .iter()
-            .map(|c| {
-                cell_key(
-                    &spec.workload_axis()[c.workload],
-                    spec.policy_axis()[c.policy],
-                    &spec.variant_axis()[c.variant].sim,
-                    &spec.variant_axis()[c.variant].dtm,
-                    &spec.variant_axis()[c.variant].faults,
-                    lib.config(),
-                    version,
-                )
-            })
-            .collect();
+        let keys = cell_keys(&spec, lib.config(), env!("CARGO_PKG_VERSION"));
         let misses = (0..cells.len()).collect();
         Fixture {
             spec,

@@ -15,8 +15,10 @@
 
 use crate::codec::{result_from_json, result_to_json};
 use crate::json::Json;
+use crate::sweep::SweepSpec;
 use dtm_core::{Counter, DtmConfig, FaultConfig, ObsHandle, PolicySpec, RunResult, SimConfig};
 use dtm_workloads::{TraceGenConfig, Workload};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -46,10 +48,51 @@ impl std::fmt::Display for CellKey {
     }
 }
 
-fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(seed, |h, &b| {
+fn fnv1a64<'a>(seed: u64, bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
+    bytes.into_iter().fold(seed, |h, &b| {
         (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// One config variant's share of a cell-key preimage. The preimage is
+/// `v=…|w=…|p=…` (the cell's head) followed by the variant's tail
+/// `|sim=…|dtm=…|tg=…[|flt=…]`. The low lane hashes it forward; the
+/// high lane, from another offset basis, hashes it reversed, so it
+/// reads the tail first and one fold over the tail serves every cell
+/// of the variant.
+struct KeyTail {
+    text: String,
+    /// The high lane after the reversed tail.
+    hi: u64,
+}
+
+impl KeyTail {
+    fn new(
+        sim: &SimConfig,
+        dtm: &DtmConfig,
+        faults: &FaultConfig,
+        tracegen: &TraceGenConfig,
+    ) -> Self {
+        let mut text = format!("|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}");
+        if !faults.is_ideal() {
+            let _ = write!(text, "|flt={faults:?}");
+        }
+        let hi = fnv1a64(0x6c62_272e_07bb_0142, text.as_bytes().iter().rev());
+        KeyTail { text, hi }
+    }
+
+    /// The key of the cell whose preimage is `v={version}|w={benches}|p={policy}`
+    /// followed by this tail, given the `Debug` spellings of its
+    /// resolved benchmarks and its policy.
+    fn key(&self, version: &str, benches: &str, policy: &str) -> CellKey {
+        let head = format!("v={version}|w={benches}|p={policy}");
+        let lo = fnv1a64(
+            0xcbf2_9ce4_8422_2325,
+            head.as_bytes().iter().chain(self.text.as_bytes()),
+        );
+        let hi = fnv1a64(self.hi, head.as_bytes().iter().rev());
+        CellKey(((hi as u128) << 64) | lo as u128)
+    }
 }
 
 /// Computes the content address of one cell.
@@ -77,17 +120,37 @@ pub fn cell_key(
 ) -> CellKey {
     // Resolve to full benchmark descriptions: a change to a benchmark's
     // profile in the catalog rekeys every cell that replays it.
-    let benches = workload.resolve();
-    let mut repr =
-        format!("v={version}|w={benches:?}|p={policy:?}|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}");
-    if !faults.is_ideal() {
-        repr.push_str(&format!("|flt={faults:?}"));
-    }
-    let lo = fnv1a64(0xcbf2_9ce4_8422_2325, repr.as_bytes());
-    // Independent second lane: different offset basis, reversed input.
-    let rev: Vec<u8> = repr.bytes().rev().collect();
-    let hi = fnv1a64(0x6c62_272e_07bb_0142, &rev);
-    CellKey(((hi as u128) << 64) | lo as u128)
+    KeyTail::new(sim, dtm, faults, tracegen).key(
+        version,
+        &format!("{:?}", workload.resolve()),
+        &format!("{policy:?}"),
+    )
+}
+
+/// The content address of every cell of `spec`, in
+/// [`SweepSpec::cells`] order: exactly what [`cell_key`] gives each
+/// cell, but each variant's configs, each workload's benchmarks and
+/// each policy are spelled once per sweep rather than once per cell.
+pub fn cell_keys(spec: &SweepSpec, tracegen: &TraceGenConfig, version: &str) -> Vec<CellKey> {
+    let tails: Vec<KeyTail> = spec
+        .variant_axis()
+        .iter()
+        .map(|v| KeyTail::new(&v.sim, &v.dtm, &v.faults, tracegen))
+        .collect();
+    let benches: Vec<String> = spec
+        .workload_axis()
+        .iter()
+        .map(|w| format!("{:?}", w.resolve()))
+        .collect();
+    let policies: Vec<String> = spec
+        .policy_axis()
+        .iter()
+        .map(|p| format!("{p:?}"))
+        .collect();
+    spec.cells()
+        .iter()
+        .map(|c| tails[c.variant].key(version, &benches[c.workload], &policies[c.policy]))
+        .collect()
 }
 
 /// A point-in-time snapshot of one cache's activity counters.
@@ -253,7 +316,11 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_core::{FaultScenario, Robustness, ThreadStats, WatchdogConfig};
+    use crate::sweep::ConfigVariant;
+    use dtm_core::{
+        FaultEvent, FaultKind, FaultScenario, FaultTarget, GainScheduleConfig, Robustness,
+        ThreadStats, WatchdogConfig,
+    };
     use dtm_workloads::standard_workloads;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -406,6 +473,81 @@ mod tests {
             legacy,
             "ideal FaultConfig changed fault-free cell addresses"
         );
+    }
+
+    #[test]
+    fn sweep_keys_equal_per_cell_keys() {
+        let per_cell = |spec: &SweepSpec, tracegen: &TraceGenConfig| -> Vec<CellKey> {
+            spec.cells()
+                .iter()
+                .map(|c| {
+                    let v = &spec.variant_axis()[c.variant];
+                    cell_key(
+                        &spec.workload_axis()[c.workload],
+                        spec.policy_axis()[c.policy],
+                        &v.sim,
+                        &v.dtm,
+                        &v.faults,
+                        tracegen,
+                        "0.2.0",
+                    )
+                })
+                .collect()
+        };
+
+        let table8 = SweepSpec::standard(0.5).policies(PolicySpec::all());
+        let tg = TraceGenConfig::default();
+        assert_eq!(cell_keys(&table8, &tg, "0.2.0"), per_cell(&table8, &tg));
+
+        let short = SimConfig {
+            duration: 0.01,
+            ..SimConfig::fast_test()
+        };
+        let mut asym = SimConfig::fast_test();
+        asym.core_max_scale = vec![1.0, 0.8, 1.0, 0.8];
+        let tuned = DtmConfig {
+            pi_kp: 0.05,
+            pi_ki: 80.0,
+            ..DtmConfig::default()
+        };
+        let rao = DtmConfig {
+            gain_schedule: GainScheduleConfig::rao_default(),
+            ..DtmConfig::default()
+        };
+        let stuck =
+            FaultConfig::unprotected(FaultScenario::stuck_sensor("stuck-hot", 0, 0, 150.0, 0.002));
+        let custom = FaultScenario::new(
+            "custom",
+            vec![
+                FaultEvent {
+                    start: 0.002,
+                    end: 0.006,
+                    target: FaultTarget::Sensor { core: 1, index: 0 },
+                    kind: FaultKind::SensorDrift { rate: -40.0 },
+                },
+                FaultEvent::permanent(0.004, FaultTarget::Core { core: 2 }, FaultKind::DvfsStuck),
+            ],
+        );
+        let fast = SimConfig::fast_test();
+        let mixed = SweepSpec::new(standard_workloads()[..3].to_vec())
+            .policies([PolicySpec::baseline(), PolicySpec::best()])
+            .variant(ConfigVariant::new(
+                "base",
+                fast.clone(),
+                DtmConfig::default(),
+            ))
+            .add_variant(ConfigVariant::new("short-tuned", short.clone(), tuned))
+            .add_variant(ConfigVariant::new("rao-asym", asym, rao))
+            .add_variant(ConfigVariant::new("stuck", fast, DtmConfig::default()).with_faults(stuck))
+            .add_variant(
+                ConfigVariant::new("custom", short, tuned)
+                    .with_faults(FaultConfig::protected(custom, WatchdogConfig::enabled())),
+            );
+        let tg = TraceGenConfig::fast_test();
+        let keys = cell_keys(&mixed, &tg, "0.2.0");
+        assert_eq!(keys, per_cell(&mixed, &tg));
+        let distinct: std::collections::HashSet<_> = keys.iter().collect();
+        assert_eq!(distinct.len(), 30, "every mixed cell has its own key");
     }
 
     #[test]

@@ -44,6 +44,12 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, so without a cap a few kilobytes of
+/// `[` would overflow a thread's stack and abort the process; the
+/// deepest document this workspace writes nests 4 levels.
+const MAX_DEPTH: usize = 128;
+
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
@@ -173,15 +179,18 @@ impl Json {
         }
     }
 
-    /// Parses one JSON value from `text` (trailing whitespace allowed).
+    /// Parses one JSON value from `text` (trailing whitespace allowed),
+    /// in time linear in its length.
     ///
     /// # Errors
     ///
-    /// Fails on malformed or truncated input.
+    /// Fails on malformed or truncated input, and on arrays and objects
+    /// nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -214,6 +223,8 @@ fn emit_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -255,8 +266,7 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
             None => err("unexpected end of input"),
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => self.nested(open),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') if self.literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Json::Bool(false)),
@@ -265,6 +275,24 @@ impl Parser<'_> {
             Some(b'i') if self.literal("inf") => Ok(Json::Num("inf".into())),
             Some(_) => self.number(),
         }
+    }
+
+    /// Parses the array or object opened by `open`, one level deeper.
+    fn nested(&mut self, open: u8) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = if open == b'{' {
+            self.object()
+        } else {
+            self.array()
+        };
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -318,59 +346,55 @@ impl Parser<'_> {
         }
     }
 
+    /// Parses a string literal in time linear in its length: each run
+    /// of bytes up to the next `"` or `\` is validated and copied
+    /// whole. Both delimiters are ASCII, so a run never splits a
+    /// multi-byte code point.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
             let rest = &self.bytes[self.pos..];
-            let Some(&b) = rest.first() else {
+            let Some(end) = rest.iter().position(|&b| b == b'"' || b == b'\\') else {
                 return err("unterminated string");
             };
+            s.push_str(
+                std::str::from_utf8(&rest[..end])
+                    .map_err(|_| JsonError("invalid UTF-8 in string".into()))?,
+            );
+            self.pos += end + 1;
+            if rest[end] == b'"' {
+                return Ok(s);
+            }
+            let Some(&esc) = self.bytes.get(self.pos) else {
+                return err("unterminated escape");
+            };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return err("unterminated escape");
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            s.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| JsonError("bad \\u code point".into()))?,
-                            );
-                        }
-                        other => return err(format!("bad escape \\{}", other as char)),
-                    }
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| JsonError("truncated \\u escape".into()))?;
+                    let hex =
+                        std::str::from_utf8(hex).map_err(|_| JsonError("bad \\u escape".into()))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError("bad \\u escape".into()))?;
+                    self.pos += 4;
+                    s.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| JsonError("bad \\u code point".into()))?,
+                    );
                 }
-                _ => {
-                    // Re-decode UTF-8 from the raw bytes: back up and
-                    // take the full code point.
-                    self.pos -= 1;
-                    let tail = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| JsonError("invalid UTF-8 in string".into()))?;
-                    let c = tail.chars().next().expect("nonempty");
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return err(format!("bad escape \\{}", other as char)),
             }
         }
     }
@@ -451,9 +475,25 @@ mod tests {
 
     #[test]
     fn escapes_round_trip() {
-        let s = "line1\nline2\ttab \"quoted\" back\\slash \u{1}control ünïcode";
-        let text = Json::str(s).emit();
-        assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
+        let max_frame = "a".repeat(4 << 20);
+        for s in [
+            "line1\nline2\ttab \"quoted\" back\\slash \u{1}control ünïcode",
+            "",
+            "\"\\\n\r\t\u{1f}",
+            "ünï\"日本語\\cödé\n😀",
+            "😀",
+            max_frame.as_str(),
+        ] {
+            let text = Json::str(s).emit();
+            assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
+        }
+        for (text, want) in [
+            (r#""\u00fc\u65E5 x\u0041""#, "ü日 xA"),
+            (r#""\/\b\f\"\\""#, "/\u{8}\u{c}\"\\"),
+            (r#""ü\u00e9日""#, "üé日"),
+        ] {
+            assert_eq!(Json::parse(text).unwrap().as_str().unwrap(), want);
+        }
     }
 
     #[test]
@@ -467,9 +507,28 @@ mod tests {
             "12 34",
             "{\"a\":1}extra",
             "nul",
+            "\"ünïcode",
+            "\"ü\\n日",
+            "\"日\\",
+            "\"\\u00e",
+            "\"\\ud800\"",
+            "\"\\x\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_error_not_a_stack_overflow() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest("[", "]", MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&nest("[{\"a\":", "}]", MAX_DEPTH / 2 + 1)).is_err());
+        // 16 KiB of `[`, far under a serve frame's 4 MiB cap, overflows
+        // a 2 MiB thread stack without the cap.
+        let err = Json::parse(&"[".repeat(16 << 10)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

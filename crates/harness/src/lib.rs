@@ -46,7 +46,7 @@ pub mod runner;
 pub mod sweep;
 
 pub use appender::LineAppender;
-pub use cache::{cell_key, CacheStats, CellKey, ResultCache, DEFAULT_CACHE_DIR};
+pub use cache::{cell_key, cell_keys, CacheStats, CellKey, ResultCache, DEFAULT_CACHE_DIR};
 pub use cli::SweepArgs;
 pub use ledger::{Ledger, DEFAULT_LEDGER_PATH};
 pub use progress::Progress;

@@ -10,13 +10,13 @@
 //! the cache pass, the ledger, progress reporting, and outcome
 //! collection — so every backend produces byte-identical bookkeeping.
 
-use crate::cache::{cell_key, CellKey, ResultCache};
+use crate::cache::{cell_keys, CellKey, ResultCache};
 use crate::json::Json;
 use crate::ledger::Ledger;
 use crate::progress::Progress;
 use crate::sweep::{CellIndex, CellOutcome, SweepResults, SweepSpec};
 use dtm_core::{Experiment, LockstepBatch, ObsHandle, SimError, SolverBackend};
-use dtm_workloads::{Benchmark, TraceGenConfig, TraceLibrary};
+use dtm_workloads::{Benchmark, TraceLibrary};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -566,22 +566,7 @@ impl SweepRunner {
             }
         }
         let cells = spec.cells();
-        let version = env!("CARGO_PKG_VERSION");
-        let tracegen: &TraceGenConfig = self.lib.config();
-        let keys: Vec<CellKey> = cells
-            .iter()
-            .map(|c| {
-                cell_key(
-                    &spec.workload_axis()[c.workload],
-                    spec.policy_axis()[c.policy],
-                    &spec.variant_axis()[c.variant].sim,
-                    &spec.variant_axis()[c.variant].dtm,
-                    &spec.variant_axis()[c.variant].faults,
-                    tracegen,
-                    version,
-                )
-            })
-            .collect();
+        let keys = cell_keys(&spec, self.lib.config(), env!("CARGO_PKG_VERSION"));
 
         // Cache pass: serve whatever is already computed.
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; cells.len()];
@@ -722,7 +707,7 @@ pub fn run_standard(
 mod tests {
     use super::*;
     use dtm_core::PolicySpec;
-    use dtm_workloads::Workload;
+    use dtm_workloads::{TraceGenConfig, Workload};
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -575,6 +575,14 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_is_an_error_not_an_abort() {
+        // 16 KiB, far under MAX_FRAME: unbounded recursion would
+        // overflow a connection thread's stack and abort the server.
+        let err = Request::decode(&[b'['; 16 << 10]).unwrap_err();
+        assert!(err.contains("malformed request"), "{err}");
+    }
+
+    #[test]
     fn control_responses_round_trip() {
         for resp in [
             Response::Overloaded { queue_depth: 64 },

@@ -14,6 +14,7 @@
 
 use dtm_microarch::StreamProfile;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// SPEC suite a benchmark belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -114,6 +115,16 @@ macro_rules! with {
 
 /// The full 22-benchmark catalog (11 SPECint + 11 SPECfp).
 pub fn all_benchmarks() -> Vec<Benchmark> {
+    catalog().to_vec()
+}
+
+/// The catalog, built on first use and shared by every lookup.
+fn catalog() -> &'static [Benchmark] {
+    static CATALOG: OnceLock<Vec<Benchmark>> = OnceLock::new();
+    CATALOG.get_or_init(build_catalog)
+}
+
+fn build_catalog() -> Vec<Benchmark> {
     let mut v = Vec::new();
     let mut int = |name: &str, profile: StreamProfile, phase: Option<PhaseSpec>| {
         v.push(Benchmark {
@@ -402,15 +413,19 @@ pub fn all_benchmarks() -> Vec<Benchmark> {
     v
 }
 
+/// The catalog entry named `name`, if there is one.
+pub(crate) fn lookup(name: &str) -> Option<&'static Benchmark> {
+    catalog().iter().find(|b| b.name == name)
+}
+
 /// Looks up one benchmark by name.
 ///
 /// # Panics
 ///
 /// Panics if the name is not in the catalog.
 pub fn benchmark(name: &str) -> Benchmark {
-    all_benchmarks()
-        .into_iter()
-        .find(|b| b.name == name)
+    lookup(name)
+        .cloned()
         .unwrap_or_else(|| panic!("unknown benchmark `{name}`"))
 }
 

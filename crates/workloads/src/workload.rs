@@ -1,6 +1,6 @@
 //! The study's 12 four-process workloads (Table 4).
 
-use crate::profiles::{benchmark, Benchmark, Suite};
+use crate::profiles::{benchmark, lookup, Benchmark, Suite};
 use serde::{Deserialize, Serialize};
 
 /// A multiprogrammed workload: one benchmark per initial core.
@@ -37,7 +37,7 @@ impl Workload {
     pub fn from_names(id: impl Into<String>, names: &[&str]) -> Self {
         assert!(!names.is_empty(), "workload needs at least one benchmark");
         for n in names {
-            let _ = benchmark(n); // validate
+            assert!(lookup(n).is_some(), "unknown benchmark `{n}`");
         }
         Workload {
             id: id.into(),
@@ -65,13 +65,8 @@ impl Workload {
         if names.is_empty() {
             return Err("workload needs at least one benchmark".into());
         }
-        for n in names {
-            if !crate::profiles::all_benchmarks()
-                .iter()
-                .any(|b| &b.name == n)
-            {
-                return Err(format!("unknown benchmark `{n}`"));
-            }
+        if let Some(n) = names.iter().find(|n| lookup(n).is_none()) {
+            return Err(format!("unknown benchmark `{n}`"));
         }
         Ok(Workload {
             id: id.into(),
