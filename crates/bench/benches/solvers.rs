@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dtm_control::ClippedPi;
 use dtm_floorplan::Floorplan;
 use dtm_microarch::{CoreConfig, CoreSim, SetAssocCache, StreamProfile};
-use dtm_thermal::linalg::{affine_matvec, matmul_strided, LANE_BLOCK};
+use dtm_thermal::linalg::{affine_matvec, matmul_strided, LaneRow, LANE_BLOCK};
 use dtm_thermal::{PackageConfig, SolverBackend, ThermalModel, TransientSolver};
 use std::hint::black_box;
 
@@ -73,6 +73,15 @@ fn batched_kernel(c: &mut Criterion) {
         })
     });
 
+    // The same lanes packed into one aligned lane tile, as a batch step
+    // gathers them.
+    let mut xt = vec![LaneRow::ZERO; cols];
+    for (k, row) in xt.iter_mut().enumerate() {
+        for (j, v) in row.0.iter_mut().enumerate() {
+            *v = x[j * cols + k];
+        }
+    }
+    let mut yt = vec![LaneRow::ZERO; rows];
     c.bench_function("linalg/matmul_strided_8lanes", |b| {
         b.iter(|| {
             matmul_strided(
@@ -80,9 +89,9 @@ fn batched_kernel(c: &mut Criterion) {
                 cols,
                 black_box(&a),
                 &bias,
-                black_box(&x),
+                black_box(&xt),
                 cols,
-                &mut y,
+                &mut yt,
                 rows,
                 LANE_BLOCK,
             )

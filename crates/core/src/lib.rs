@@ -51,6 +51,41 @@
 //! # }
 //! ```
 
+#[cfg(test)]
+mod alloc_count {
+    //! A counting global allocator for the allocation-free-step
+    //! assertions. The count is thread-local (const-initialised `Cell`,
+    //! so the TLS access itself never allocates) to keep parallel test
+    //! threads from polluting each other's measurements.
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    thread_local! {
+        static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    struct CountingAlloc;
+
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|c| c.set(c.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    pub fn allocations_on_this_thread() -> u64 {
+        ALLOCS.with(|c| c.get())
+    }
+}
+
 mod batch;
 mod config;
 mod engine;

@@ -108,6 +108,12 @@ impl PowerTrace {
         self.samples.is_empty()
     }
 
+    /// One loop of samples, in order: `samples()[i]` is `sample(i)`
+    /// for `i < len()`.
+    pub fn samples(&self) -> &[CorePowerSample] {
+        &self.samples
+    }
+
     /// The sample at (wrapping) position `idx`.
     pub fn sample(&self, idx: u64) -> &CorePowerSample {
         &self.samples[(idx % self.samples.len() as u64) as usize]

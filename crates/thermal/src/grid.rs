@@ -15,7 +15,7 @@
 //!    correction stands in for.
 
 use crate::linalg::{LuFactors, Matrix};
-use crate::model::ThermalError;
+use crate::model::{check_block_power, ThermalError};
 use crate::propagator::{PowerMap, Propagator, SolverBackend};
 use crate::PackageConfig;
 use dtm_floorplan::Floorplan;
@@ -319,43 +319,13 @@ impl GridThermalModel {
     ///
     /// Fails on wrong-length or non-physical power vectors.
     pub fn steady_state(&self, block_power: &[f64]) -> Result<GridTemps<'_>, ThermalError> {
-        if block_power.len() != self.n_blocks {
-            return Err(ThermalError::PowerLength {
-                expected: self.n_blocks,
-                got: block_power.len(),
-            });
-        }
-        let n = self.a.rows();
-        let mut p = vec![0.0; n];
-        for (b, &watts) in block_power.iter().enumerate() {
-            if !watts.is_finite() || watts < 0.0 {
-                return Err(ThermalError::NotPhysical(format!("power[{b}] = {watts}")));
-            }
-            for &(cell, frac) in &self.weights[b] {
-                p[cell] += watts * frac;
-            }
-        }
-        for i in 0..n {
-            p[i] += self.g_amb[i] * self.ambient;
-        }
-        let temps = self.a.solve(&p)?;
+        let temps = self.a.solve(&self.rhs(block_power)?)?;
         Ok(GridTemps { model: self, temps })
     }
 
     /// Validates a power vector without building the right-hand side.
     fn check_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
-        if block_power.len() != self.n_blocks {
-            return Err(ThermalError::PowerLength {
-                expected: self.n_blocks,
-                got: block_power.len(),
-            });
-        }
-        for (b, &watts) in block_power.iter().enumerate() {
-            if !watts.is_finite() || watts < 0.0 {
-                return Err(ThermalError::NotPhysical(format!("power[{b}] = {watts}")));
-            }
-        }
-        Ok(())
+        check_block_power(self.n_blocks, block_power)
     }
 
     fn rhs(&self, block_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
@@ -550,7 +520,12 @@ impl GridTransient {
         self.model.check_power(block_power)
     }
 
-    /// Mutable cell/node temperatures, for the batched gather/scatter.
+    /// Cell/node temperatures, for the batched gather.
+    pub(crate) fn cell_temps(&self) -> &[f64] {
+        &self.temps
+    }
+
+    /// Mutable cell/node temperatures, for the batched scatter.
     pub(crate) fn temps_mut(&mut self) -> &mut [f64] {
         &mut self.temps
     }

@@ -57,6 +57,30 @@ impl fmt::Display for ThermalError {
 
 impl std::error::Error for ThermalError {}
 
+/// Validates a per-block power vector: `expected` entries, each finite
+/// and non-negative (`-0.0` passes). The common case is one branch-free
+/// pass; only a failing vector is rescanned for its first bad entry, so
+/// the error names the same index an in-order check would.
+pub(crate) fn check_block_power(expected: usize, block_power: &[f64]) -> Result<(), ThermalError> {
+    if block_power.len() != expected {
+        return Err(ThermalError::PowerLength {
+            expected,
+            got: block_power.len(),
+        });
+    }
+    // NaN, ±∞ and negatives fall outside; -0.0 == 0.0 is inside.
+    let physical = |w: f64| (0.0..f64::INFINITY).contains(&w);
+    if block_power.iter().fold(true, |ok, &w| ok & physical(w)) {
+        return Ok(());
+    }
+    let (i, w) = block_power
+        .iter()
+        .enumerate()
+        .find(|&(_, &w)| !physical(w))
+        .expect("the fold above found a non-physical entry");
+    Err(ThermalError::NotPhysical(format!("power[{i}] = {w}")))
+}
+
 impl From<LinalgError> for ThermalError {
     fn from(e: LinalgError) -> Self {
         ThermalError::Linalg(e)
@@ -353,18 +377,7 @@ impl ThermalModel {
     /// Validates a power vector (length, finiteness, non-negativity)
     /// without building the right-hand side.
     fn check_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
-        if block_power.len() != self.n_blocks {
-            return Err(ThermalError::PowerLength {
-                expected: self.n_blocks,
-                got: block_power.len(),
-            });
-        }
-        for (i, &w) in block_power.iter().enumerate() {
-            if !w.is_finite() || w < 0.0 {
-                return Err(ThermalError::NotPhysical(format!("power[{i}] = {w}")));
-            }
-        }
-        Ok(())
+        check_block_power(self.n_blocks, block_power)
     }
 
     fn rhs(&self, block_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
@@ -462,6 +475,10 @@ pub struct TransientSolver {
     prop_fallback: bool,
     cached: Option<(f64, LuFactors)>,
     prop: Option<std::sync::Arc<Propagator>>,
+    /// The fast mode's per-step decay `exp(−dt/τ)`, keyed by the exact
+    /// bits of the `dt` it was computed for: a hit returns the very
+    /// value a fresh `exp` would.
+    fast_decay: Option<(u64, f64)>,
     rhs_buf: Vec<f64>,
     sol_buf: Vec<f64>,
 }
@@ -494,6 +511,7 @@ impl TransientSolver {
             prop_fallback: false,
             cached: None,
             prop: None,
+            fast_decay: None,
             rhs_buf: Vec::new(),
             sol_buf: Vec::new(),
         }
@@ -556,14 +574,15 @@ impl TransientSolver {
         &self.fast_delta
     }
 
-    /// Block *hotspot* temperatures: lumped node temperature plus the
-    /// sub-block fast-mode excess. Thermal sensors read these.
-    pub fn hot_block_temps(&self) -> Vec<f64> {
-        self.temps[..self.model.n_blocks()]
-            .iter()
-            .zip(&self.fast_delta)
-            .map(|(t, d)| t + d)
-            .collect()
+    /// Hotspot temperature of one block (°C): the lumped node
+    /// temperature plus the sub-block fast-mode excess. Thermal sensors
+    /// read these.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is out of range.
+    pub fn hot_block_temp(&self, block: usize) -> f64 {
+        self.temps[block] + self.fast_delta[block]
     }
 
     /// Initializes all nodes from the steady state of `block_power`,
@@ -735,7 +754,14 @@ impl TransientSolver {
     /// exact exponential update over the full step (shared by both
     /// backends).
     fn step_fast_mode(&mut self, block_power: &[f64], dt: f64) {
-        let decay = (-dt / self.model.fast_tau).exp();
+        let decay = match self.fast_decay {
+            Some((bits, decay)) if bits == dt.to_bits() => decay,
+            _ => {
+                let decay = (-dt / self.model.fast_tau).exp();
+                self.fast_decay = Some((dt.to_bits(), decay));
+                decay
+            }
+        };
         for ((delta, &r), &pw) in self
             .fast_delta
             .iter_mut()

@@ -43,7 +43,7 @@
 //! cached per `dt` exactly like the backward-Euler LU factorization,
 //! and is rebuilt whenever `dt` moves by more than 1 part in 10¹⁵.
 
-use crate::linalg::{affine_matvec, matmul_strided, LinalgError, Matrix};
+use crate::linalg::{affine_matvec, matmul_strided, LaneRow, LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -276,17 +276,18 @@ impl Propagator {
         self.n + self.n_inputs
     }
 
-    /// Advances `lanes` independent states at once: column `l` of the
-    /// column-major input block `x` (leading dimension `ldx`) holds lane
-    /// `l`'s concatenated `[T | p]`, and column `l` of `y` (leading
-    /// dimension `ldy`) receives its next temperatures. One cache-blocked
-    /// [`matmul_strided`] call replaces `lanes` [`Propagator::advance`]
-    /// matvecs; each lane's output is bit-identical to the scalar path.
+    /// Advances `lanes` independent states at once: lane `l` of the
+    /// packed input tile `x` (leading dimension `ldx`) holds lane `l`'s
+    /// concatenated `[T | p]`, and lane `l` of the packed output tile
+    /// `y` (leading dimension `ldy`) receives its next temperatures. One
+    /// cache-blocked [`matmul_strided`] call replaces `lanes`
+    /// [`Propagator::advance`] matvecs; each lane's output is
+    /// bit-identical to the scalar path.
     pub(crate) fn advance_batch(
         &self,
-        x: &[f64],
+        x: &[LaneRow],
         ldx: usize,
-        y: &mut [f64],
+        y: &mut [LaneRow],
         ldy: usize,
         lanes: usize,
     ) {
