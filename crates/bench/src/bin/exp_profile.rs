@@ -42,9 +42,9 @@ const PROFILE_DIR: &str = "results/profile";
 
 fn profile_grid(smoke: bool, duration: f64) -> (TraceLibrary, SweepSpec) {
     if smoke {
-        // Large enough that a timing pass is ~0.5 s of wall time:
-        // scheduler jitter on sub-200 ms passes drowns a percent-level
-        // overhead signal.
+        // A timing pass is only ~0.06 s of wall time on a 2-vCPU host,
+        // short enough that scheduler jitter moves single readings by
+        // several percent; the gate's two estimators absorb part of it.
         let lib = TraceLibrary::new(TraceGenConfig::fast_test());
         let workloads: Vec<Workload> = standard_workloads().into_iter().take(4).collect();
         let spec = SweepSpec::new(workloads)
@@ -86,20 +86,13 @@ fn profile_grid(smoke: bool, duration: f64) -> (TraceLibrary, SweepSpec) {
 
 /// One full grid execution over the shared pre-warmed trace library —
 /// no cache, no ledger — returning its wall time and results.
-///
-/// Both passes pin `lanes = 1`: profiled sims step scalar by contract
-/// (per-phase timings need attributable phases), so an unpinned
-/// baseline would batch its thermal phases and the gate would measure
-/// the lockstep speedup as "instrumentation overhead".
 fn timed_pass(
     lib: &Arc<TraceLibrary>,
     spec: &SweepSpec,
     workers: usize,
     obs: Option<&ObsHandle>,
 ) -> (Duration, SweepResults) {
-    let mut runner = SweepRunner::bare_shared(Arc::clone(lib))
-        .with_workers(workers)
-        .with_lanes(1);
+    let mut runner = SweepRunner::bare_shared(Arc::clone(lib)).with_workers(workers);
     if let Some(o) = obs {
         runner = runner.with_obs(o);
     }

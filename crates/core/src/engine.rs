@@ -9,6 +9,7 @@
 //! wall-clock sample and dissipates `s³` of the trace's nominal dynamic
 //! power, while a stalled core dissipates only leakage.
 
+use crate::batch::{lockstep, Until};
 use crate::config::{DtmConfig, SimConfig};
 use crate::metrics::{
     PhaseNs, PhaseProfile, Robustness, RunResult, SteadyTempSummary, ThreadStats,
@@ -68,7 +69,7 @@ const TIMED_SAMPLE_STRIDE: u64 = 8;
 /// sparsely still — every `SPAN_SAMPLE_STRIDE`-th step contributes its
 /// nine phase spans to the trace. A multiple of [`TIMED_SAMPLE_STRIDE`],
 /// so span steps are always timed steps.
-const SPAN_SAMPLE_STRIDE: u64 = 32;
+pub(crate) const SPAN_SAMPLE_STRIDE: u64 = 32;
 
 /// Hottest-sensor steady-state samples are taken every this many steps
 /// (~1 ms), matching the telemetry stride the Table 1 characterization
@@ -77,7 +78,7 @@ const STEADY_SAMPLE_EVERY: u64 = 36;
 
 /// Per-phase profiling state, present only while an enabled
 /// [`ObsHandle`] is attached.
-struct EngineProf {
+pub(crate) struct EngineProf {
     obs: ObsHandle,
     hists: [Histogram; ENGINE_PHASES.len()],
     /// Nanoseconds measured on the timed (sampled) steps only; scaled
@@ -85,13 +86,41 @@ struct EngineProf {
     phase_ns: [u64; ENGINE_PHASES.len()],
     steps: u64,
     timed_steps: u64,
+    /// The current step's clock at its last phase mark; `None` on
+    /// untimed steps.
+    clock: Option<u64>,
+    /// Whether the current step's phases are also recorded as spans.
+    sampled: bool,
 }
 
-/// Step-local clock state for phase marking.
-pub(crate) struct StepClock {
-    last_ns: u64,
-    /// Whether this step's phases are also recorded as trace spans.
-    sample: bool,
+impl EngineProf {
+    /// The clock, read now, on a timed step; `None` otherwise. A
+    /// lockstep step times its one thermal phase on the first lane that
+    /// returns a reading.
+    pub(crate) fn clock_ns(&self) -> Option<u64> {
+        self.clock.map(|_| self.obs.now_ns())
+    }
+
+    /// Closes a thermal phase that [`Self::clock_ns`] opened at
+    /// `start`: records it as one span on a sampled step and returns its
+    /// duration.
+    pub(crate) fn close_thermal(&self, start: u64) -> u64 {
+        let ns = self.obs.now_ns() - start;
+        if self.sampled {
+            self.obs
+                .record_span("engine", ENGINE_PHASES[PH_THERMAL], start, ns);
+        }
+        ns
+    }
+
+    /// Charges `ns`, this lane's share of a lockstep step's thermal
+    /// phase, to the thermal histogram and total on a timed step.
+    pub(crate) fn charge_thermal(&mut self, ns: u64) {
+        if self.clock.is_some() {
+            self.hists[PH_THERMAL].record(ns);
+            self.phase_ns[PH_THERMAL] += ns;
+        }
+    }
 }
 
 /// Errors surfaced while building or running a simulation.
@@ -415,7 +444,7 @@ impl ThermalTimingSim {
             steady_counter: 0,
         };
         sim.initialize_temperatures()?;
-        sim.read_sensors(&mut None);
+        sim.read_sensors();
         Ok(sim)
     }
 
@@ -434,6 +463,8 @@ impl ThermalTimingSim {
                 phase_ns: [0; ENGINE_PHASES.len()],
                 steps: 0,
                 timed_steps: 0,
+                clock: None,
+                sampled: false,
             });
             if let Some(wd) = &mut self.watchdog {
                 wd.bind_obs(obs);
@@ -447,17 +478,18 @@ impl ThermalTimingSim {
     /// to the phase histogram and the run's phase totals, and — on
     /// sampled steps — into the span ring.
     #[inline]
-    fn mark(&mut self, phase: usize, clk: &mut Option<StepClock>) {
-        if let (Some(p), Some(c)) = (&mut self.prof, clk.as_mut()) {
-            let now = p.obs.now_ns();
-            let d = now - c.last_ns;
-            p.hists[phase].record(d);
-            p.phase_ns[phase] += d;
-            if c.sample {
-                p.obs
-                    .record_span("engine", ENGINE_PHASES[phase], c.last_ns, d);
+    fn mark(&mut self, phase: usize) {
+        if let Some(p) = &mut self.prof {
+            if let Some(last) = &mut p.clock {
+                let now = p.obs.now_ns();
+                let d = now - *last;
+                p.hists[phase].record(d);
+                p.phase_ns[phase] += d;
+                if p.sampled {
+                    p.obs.record_span("engine", ENGINE_PHASES[phase], *last, d);
+                }
+                *last = now;
             }
-            c.last_ns = now;
         }
     }
 
@@ -657,7 +689,7 @@ impl ThermalTimingSim {
         s
     }
 
-    fn read_sensors(&mut self, clk: &mut Option<StepClock>) {
+    fn read_sensors(&mut self) {
         // Sensors sit at the within-block hotspots, so they see the
         // lumped node temperature plus the sub-block fast-mode excess;
         // only the sensor sites are evaluated.
@@ -675,59 +707,41 @@ impl ThermalTimingSim {
                 }
             }
         }
-        self.mark(PH_SENSORS, clk);
+        self.mark(PH_SENSORS);
         if let Some(wd) = &mut self.watchdog {
             wd.assess(self.time, &mut flat);
         }
-        self.mark(PH_WATCHDOG, clk);
+        self.mark(PH_WATCHDOG);
         for core in 0..self.cfg.cores {
             self.sensor_temps[core] = [flat[core * 2], flat[core * 2 + 1]];
         }
         self.sensor_buf = flat;
     }
 
-    /// Advances the simulation by one power sample (27.78 µs).
+    /// Advances the simulation by one power sample (27.78 µs): a
+    /// lockstep step of a batch of one.
     ///
     /// # Errors
     ///
     /// Propagates thermal-solver failures.
     pub fn step(&mut self) -> Result<(), SimError> {
-        let mut clk = self.begin_clock();
-        self.step_pre_thermal(&mut clk);
-        // ---- Thermal integration ----
-        self.thermal.step(&self.power_buf, self.dt)?;
-        self.step_post_thermal(&mut clk);
-        Ok(())
+        lockstep(std::slice::from_mut(self), Until::OneStep)
     }
 
-    /// Opens this step's phase clock (profiled builds only) and counts
-    /// the step against the sampling strides.
-    pub(crate) fn begin_clock(&mut self) -> Option<StepClock> {
-        match &mut self.prof {
-            Some(p) => {
-                let timed = p.steps.is_multiple_of(TIMED_SAMPLE_STRIDE);
-                let sample = p.steps.is_multiple_of(SPAN_SAMPLE_STRIDE);
-                p.steps += 1;
-                if timed {
-                    p.timed_steps += 1;
-                    Some(StepClock {
-                        last_ns: p.obs.now_ns(),
-                        sample,
-                    })
-                } else {
-                    None
-                }
-            }
-            None => None,
+    /// Everything a step does *before* the thermal solve: counts the
+    /// step against the profiling strides, assembles block power into
+    /// `power_buf` (advancing trace cursors and work accounting) and
+    /// adds leakage. The lockstep driver runs every lane's pre-phase,
+    /// one thermal phase, then the post-phases — see
+    /// [`crate::LockstepBatch`].
+    pub(crate) fn step_pre_thermal(&mut self) {
+        if let Some(p) = &mut self.prof {
+            let timed = p.steps.is_multiple_of(TIMED_SAMPLE_STRIDE);
+            p.clock = timed.then(|| p.obs.now_ns());
+            p.sampled = p.steps.is_multiple_of(SPAN_SAMPLE_STRIDE);
+            p.timed_steps += u64::from(timed);
+            p.steps += 1;
         }
-    }
-
-    /// Everything a step does *before* the thermal solve: assembles
-    /// block power into `power_buf` (advancing trace cursors and work
-    /// accounting) and adds leakage. Split out so a lockstep batch
-    /// driver can run many lanes' pre-phases, one batched thermal
-    /// advance, then the post-phases — see [`crate::LockstepBatch`].
-    pub(crate) fn step_pre_thermal(&mut self, clk: &mut Option<StepClock>) {
         let dt = self.dt;
         let cores = self.cfg.cores;
 
@@ -774,24 +788,30 @@ impl ThermalTimingSim {
         }
         self.power_buf[self.l2_block] += l2_power;
         self.scales_now = scales_now;
-        self.mark(PH_MICROARCH, clk);
+        self.mark(PH_MICROARCH);
         self.leakage
             .add_power(self.thermal.block_temps(), &mut self.power_buf);
         self.energy += self.power_buf.iter().sum::<f64>() * dt;
-        self.mark(PH_POWER, clk);
+        self.mark(PH_POWER);
     }
 
     /// Everything a step does *after* the thermal solve: advances the
     /// clock, reads sensors, runs accounting, control, migration, and
     /// telemetry. Must be preceded by [`Self::step_pre_thermal`] and a
     /// thermal advance of `power_buf` over `dt` (scalar or batched).
-    pub(crate) fn step_post_thermal(&mut self, clk: &mut Option<StepClock>) {
+    pub(crate) fn step_post_thermal(&mut self) {
         let dt = self.dt;
         let cores = self.cfg.cores;
         let scales_now = std::mem::take(&mut self.scales_now);
         self.time += dt;
-        self.mark(PH_THERMAL, clk);
-        self.read_sensors(clk);
+        // The phase clock restarts here: the driver charged the thermal
+        // phase, and earlier lanes' post phases are not this lane's.
+        if let Some(p) = &mut self.prof {
+            if let Some(last) = &mut p.clock {
+                *last = p.obs.now_ns();
+            }
+        }
+        self.read_sensors();
 
         // ---- Emergency accounting ----
         let hottest = self
@@ -823,7 +843,7 @@ impl ThermalTimingSim {
         if throttled && true_hot < self.dtm.dvfs_setpoint() - FALSE_THROTTLE_MARGIN {
             self.false_throttle_time += dt;
         }
-        self.mark(PH_ACCOUNTING, clk);
+        self.mark(PH_ACCOUNTING);
 
         // ---- Throttle control ----
         match self.policy.throttle {
@@ -831,14 +851,14 @@ impl ThermalTimingSim {
             ThrottleKind::Dvfs => self.control_dvfs(),
         }
         self.control_fallback_stopgo();
-        self.mark(PH_CONTROL, clk);
+        self.mark(PH_CONTROL);
 
         // ---- OS tick: migration ----
         if self.time >= self.next_os_tick {
             self.next_os_tick += self.dtm.os_tick;
             self.os_tick(&scales_now);
         }
-        self.mark(PH_MIGRATION, clk);
+        self.mark(PH_MIGRATION);
 
         // ---- Telemetry ----
         if let Some(tel) = &mut self.telemetry {
@@ -865,7 +885,7 @@ impl ThermalTimingSim {
         }
         self.steady_counter += 1;
         self.scales_now = scales_now;
-        self.mark(PH_TELEMETRY, clk);
+        self.mark(PH_TELEMETRY);
     }
 
     /// The thermal lane this sim contributes to a lockstep batch: its
@@ -880,11 +900,10 @@ impl ThermalTimingSim {
         self.time < self.cfg.duration
     }
 
-    /// Whether per-phase profiling is attached. Lockstep batching would
-    /// attribute the shared thermal phase to one arbitrary lane, so a
-    /// profiled sim is stepped scalar instead.
-    pub(crate) fn is_profiled(&self) -> bool {
-        self.prof.is_some()
+    /// The phase profile the lockstep driver times the shared thermal
+    /// phase into, while an enabled handle is attached.
+    pub(crate) fn profile(&mut self) -> Option<&mut EngineProf> {
+        self.prof.as_mut()
     }
 
     /// Whether `core`'s DVFS actuator is currently stuck by a fault.
@@ -1076,15 +1095,14 @@ impl ThermalTimingSim {
         }
     }
 
-    /// Runs until `cfg.duration` and returns the metrics.
+    /// Runs until `cfg.duration` and returns the metrics: a lockstep
+    /// batch of one.
     ///
     /// # Errors
     ///
     /// Propagates thermal-solver failures.
     pub fn run(&mut self) -> Result<RunResult, SimError> {
-        while self.time < self.cfg.duration {
-            self.step()?;
-        }
+        lockstep(std::slice::from_mut(self), Until::Done)?;
         Ok(self.result())
     }
 

@@ -732,7 +732,8 @@ impl Backend for RemoteBackend {
                 s.spawn(move || {
                     while let Some(id) = sched.acquire_local(true) {
                         let exec = exec_cell.get_or_init(|| LocalExec::new(ctx));
-                        match exec.run_cell(ctx, ctx.misses[id], t + 1) {
+                        let cell = exec.run_lane_batch(ctx, &[ctx.misses[id]], t + 1);
+                        match cell.map(|mut one| one.remove(0)) {
                             Ok(outcome) => {
                                 local_cells.fetch_add(1, Ordering::Relaxed);
                                 if obs.is_enabled() {
@@ -781,7 +782,8 @@ impl Backend for RemoteBackend {
                         }
                         let j = next.fetch_add(1, Ordering::SeqCst);
                         let Some(&id) = remaining.get(j) else { break };
-                        match exec.run_cell(ctx, ctx.misses[id], wid) {
+                        let cell = exec.run_lane_batch(ctx, &[ctx.misses[id]], wid);
+                        match cell.map(|mut one| one.remove(0)) {
                             Ok(outcome) => {
                                 fallback_cells.fetch_add(1, Ordering::Relaxed);
                                 if obs.is_enabled() {
@@ -1042,7 +1044,10 @@ mod tests {
         let fx = fixture(ConfigVariant::new("base", sim, DtmConfig::default()));
         let ctx = fx.ctx();
         let exec = LocalExec::new(&ctx);
-        let outcome = exec.run_cell(&ctx, 0, 1).expect("simulates");
+        let outcome = exec
+            .run_lane_batch(&ctx, &[0], 1)
+            .expect("simulates")
+            .remove(0);
         let result = outcome.result.clone();
 
         let sched = Scheduler::new(DispatchState::new(
@@ -1078,7 +1083,10 @@ mod tests {
         let fx = fixture(ConfigVariant::new("base", sim, DtmConfig::default()));
         let ctx = fx.ctx();
         let exec = LocalExec::new(&ctx);
-        let outcome = exec.run_cell(&ctx, 0, 1).expect("simulates");
+        let outcome = exec
+            .run_lane_batch(&ctx, &[0], 1)
+            .expect("simulates")
+            .remove(0);
         let mut tampered = outcome.result.clone();
         tampered.duty_cycle += 0.25;
 

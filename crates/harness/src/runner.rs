@@ -110,9 +110,9 @@ impl BackendCtx<'_> {
     }
 }
 
-/// Executes one cell at a time, in-process — the shared machinery
-/// behind [`LocalBackend`] and any mixed/fallback local execution a
-/// remote backend performs. Holds one [`Experiment`] per config
+/// Executes lane batches in-process — the shared machinery behind
+/// [`LocalBackend`] and any mixed/fallback local execution a remote
+/// backend performs. Holds one [`Experiment`] per config
 /// variant over the shared trace library, so repeated cells of one
 /// variant reuse prewarmed solver state.
 pub struct LocalExec {
@@ -136,63 +136,14 @@ impl LocalExec {
         LocalExec { experiments }
     }
 
-    /// Simulates cell `i` (an index into `ctx.cells`) as worker `wid`,
-    /// publishes the result to the cache, and records the runner's
-    /// per-cell observability (span, wall/queue histograms, worker-busy
-    /// counter).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the simulation failure.
-    pub fn run_cell(
-        &self,
-        ctx: &BackendCtx<'_>,
-        i: usize,
-        wid: usize,
-    ) -> Result<CellOutcome, SimError> {
-        let cell = ctx.cells[i];
-        let spec = ctx.spec;
-        let workload = &spec.workload_axis()[cell.workload];
-        let policy = spec.policy_axis()[cell.policy];
-        let obs = ctx.obs;
-        let t0 = Instant::now();
-        let queued = t0.duration_since(ctx.sweep_start);
-        let cell_start_ns = obs.now_ns();
-        let result = self.experiments[cell.variant].run(workload, policy)?;
-        ctx.publish(i, &result);
-        let wall = t0.elapsed();
-        if obs.is_enabled() {
-            let wall_ns = wall.as_nanos() as u64;
-            obs.record_span(
-                "harness",
-                format!("{}/{}", workload.display_name(), policy.name()),
-                cell_start_ns,
-                wall_ns,
-            );
-            obs.histogram("dtm_cell_wall_ns").record(wall_ns);
-            obs.histogram("dtm_cell_queue_ns")
-                .record(queued.as_nanos() as u64);
-            obs.counter("dtm_cells_executed_total").inc();
-            obs.counter(&format!("dtm_worker_{wid}_busy_ns_total"))
-                .add(wall_ns);
-        }
-        Ok(CellOutcome {
-            index: cell,
-            key: ctx.keys[i].hex(),
-            result,
-            cached: false,
-            wall,
-            queued,
-            worker: wid,
-        })
-    }
-
     /// Simulates a lane batch (indexes into `ctx.cells` whose variants
-    /// share a thermal configuration) in lockstep as worker `wid`,
-    /// publishing each lane's result and per-cell observability exactly
-    /// as [`LocalExec::run_cell`] would. Each distinct workload's
-    /// traces are resolved once for the whole batch; every lane that
-    /// replays that workload shares the `Arc`s.
+    /// share a thermal configuration; one cell is a batch of one) in
+    /// lockstep as worker `wid`, publishes each lane's result to the
+    /// cache, and records the runner's per-cell and per-batch
+    /// observability (spans, wall/queue histograms, batch and
+    /// worker-busy counters). Each distinct workload's traces are
+    /// resolved once for the whole batch; every lane that replays that
+    /// workload shares the `Arc`s.
     ///
     /// Wall time is the batch's (the lanes ran fused, so per-lane wall
     /// is not separable); results are bit-identical to per-cell runs.
@@ -206,9 +157,6 @@ impl LocalExec {
         batch: &[usize],
         wid: usize,
     ) -> Result<Vec<CellOutcome>, SimError> {
-        if batch.len() == 1 {
-            return Ok(vec![self.run_cell(ctx, batch[0], wid)?]);
-        }
         let spec = ctx.spec;
         let obs = ctx.obs;
         let t0 = Instant::now();
@@ -467,9 +415,9 @@ impl SweepRunner {
 
     /// Overrides the lockstep lane-batch width (otherwise `DTM_LANES`,
     /// otherwise [`DEFAULT_LANES`]). `1` disables batching: every cell
-    /// runs through the classic scalar path. Batching is an execution
-    /// strategy only — results, cache contents, and ledger rows are
-    /// byte-identical at every width.
+    /// runs as a batch of one, with a scalar thermal phase. Batching is
+    /// an execution strategy only — results, cache contents, and ledger
+    /// rows are byte-identical at every width.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = Some(lanes.max(1));
         self
@@ -1030,6 +978,18 @@ mod tests {
         // Per-cell accounting is preserved through the batched path.
         assert_eq!(obs.counter("dtm_cells_executed_total").get(), 4);
         assert_eq!(obs.histogram("dtm_cell_wall_ns").count(), 4);
+
+        // At width 1 every cell is a one-lane batch, and counts as one.
+        let obs = dtm_core::ObsHandle::enabled_default();
+        SweepRunner::bare(fast_lib())
+            .with_workers(1)
+            .with_lanes(1)
+            .with_obs(&obs)
+            .run(tiny_spec())
+            .expect("run");
+        assert_eq!(obs.counter("dtm_batches_executed_total").get(), 4);
+        assert_eq!(obs.counter("dtm_batch_lanes_total").get(), 4);
+        assert_eq!(obs.counter("dtm_batch_lane_slots_total").get(), 4);
     }
 
     #[test]
@@ -1108,7 +1068,7 @@ mod tests {
             ctx.prewarm(ctx.misses, 1);
             let exec = LocalExec::new(ctx);
             for &i in ctx.misses {
-                let r = exec.run_cell(ctx, i, 7);
+                let r = exec.run_lane_batch(ctx, &[i], 7).map(|mut o| o.remove(0));
                 let failed = r.is_err();
                 let _ = tx.send(r);
                 if failed {
