@@ -60,15 +60,17 @@ const PH_TELEMETRY: usize = 8;
 /// Phase timing is itself sampled: every `TIMED_SAMPLE_STRIDE`-th step
 /// reads the clock around each phase (durations go to the phase
 /// histograms and, scaled by the stride, to the run's phase totals).
-/// Nine clock reads per step would otherwise cost a few percent of the
-/// hot loop — sampling keeps the instrumented build within its < 3%
-/// overhead budget while the ~28 µs steps stay statistically identical.
+/// Ten clock reads per lane step (about 400 ns on a 2-vCPU KVM guest)
+/// would otherwise cost a fifth of a batched lane step — sampling cuts
+/// that eightfold, toward the < 3% overhead budget `exp_profile` gates,
+/// while the ~28 µs steps stay statistically identical.
 const TIMED_SAMPLE_STRIDE: u64 = 8;
 
 /// Full span records (ring pushes behind a mutex) are sampled more
-/// sparsely still — every `SPAN_SAMPLE_STRIDE`-th step contributes its
-/// nine phase spans to the trace. A multiple of [`TIMED_SAMPLE_STRIDE`],
-/// so span steps are always timed steps.
+/// sparsely still — every `SPAN_SAMPLE_STRIDE`-th step contributes each
+/// lane's eight own phase spans plus one `thermal` span for the batch.
+/// A multiple of [`TIMED_SAMPLE_STRIDE`], so span steps are always
+/// timed steps.
 pub(crate) const SPAN_SAMPLE_STRIDE: u64 = 32;
 
 /// Hottest-sensor steady-state samples are taken every this many steps
