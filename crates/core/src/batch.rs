@@ -80,7 +80,7 @@ impl LockstepBatch {
     /// mid-flight.
     pub fn run(mut self) -> Result<Vec<RunResult>, SimError> {
         lockstep(&mut self.sims, Until::Done)?;
-        Ok(self.sims.iter().map(|s| s.result()).collect())
+        Ok(self.sims.iter_mut().map(|s| s.finish()).collect())
     }
 }
 

@@ -11,6 +11,7 @@
 
 use crate::batch::{lockstep, Until};
 use crate::config::{DtmConfig, SimConfig};
+use crate::init_memo::{self, InitKey};
 use crate::metrics::{
     PhaseNs, PhaseProfile, Robustness, RunResult, SteadyTempSummary, ThreadStats,
 };
@@ -22,7 +23,7 @@ use crate::telemetry::{Telemetry, TelemetryRecord};
 use dtm_control::{DvfsController, PiGains};
 use dtm_faults::{FallbackKind, FaultConfig, FaultScenario, FaultState, Watchdog, WatchdogConfig};
 use dtm_floorplan::{Floorplan, UnitKind};
-use dtm_obs::{Histogram, ObsHandle};
+use dtm_obs::{Histogram, LocalHistogram, ObsHandle};
 use dtm_power::{leakage_reference, PowerTrace, N_CORE_UNITS};
 use dtm_thermal::{LeakageModel, SensorBank, ThermalError, ThermalModel, TransientSolver};
 use std::sync::Arc;
@@ -61,9 +62,10 @@ const PH_TELEMETRY: usize = 8;
 /// reads the clock around each phase (durations go to the phase
 /// histograms and, scaled by the stride, to the run's phase totals).
 /// Ten clock reads per lane step (about 400 ns on a 2-vCPU KVM guest)
-/// would otherwise cost a fifth of a batched lane step — sampling cuts
-/// that eightfold, toward the < 3% overhead budget `exp_profile` gates,
-/// while the ~28 µs steps stay statistically identical.
+/// would otherwise cost about a quarter of a batched lane step (1.2–1.8
+/// µs there) — sampling cuts that eightfold, toward the < 3% overhead
+/// budget `exp_profile` gates, while the ~28 µs steps stay
+/// statistically identical.
 const TIMED_SAMPLE_STRIDE: u64 = 8;
 
 /// Full span records (ring pushes behind a mutex) are sampled more
@@ -83,6 +85,10 @@ const STEADY_SAMPLE_EVERY: u64 = 36;
 pub(crate) struct EngineProf {
     obs: ObsHandle,
     hists: [Histogram; ENGINE_PHASES.len()],
+    /// This sim's timed-phase durations not yet in `hists`: plain adds
+    /// on the step path, absorbed into the shared histograms when the
+    /// run's result is assembled and when the profile is dropped.
+    local: [LocalHistogram; ENGINE_PHASES.len()],
     /// Nanoseconds measured on the timed (sampled) steps only; scaled
     /// up by `steps / timed_steps` when the profile is reported.
     phase_ns: [u64; ENGINE_PHASES.len()],
@@ -119,9 +125,22 @@ impl EngineProf {
     /// phase, to the thermal histogram and total on a timed step.
     pub(crate) fn charge_thermal(&mut self, ns: u64) {
         if self.clock.is_some() {
-            self.hists[PH_THERMAL].record(ns);
+            self.local[PH_THERMAL].record(ns);
             self.phase_ns[PH_THERMAL] += ns;
         }
+    }
+
+    /// Moves the recorded phase durations into the shared histograms.
+    fn flush(&mut self) {
+        for (hist, local) in self.hists.iter().zip(&mut self.local) {
+            hist.absorb(local);
+        }
+    }
+}
+
+impl Drop for EngineProf {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -279,9 +298,10 @@ impl ThermalTimingSim {
     ///
     /// # Errors
     ///
-    /// Fails if the thread count does not match the core count (this
-    /// study pins one thread per core), if traces disagree on sample
-    /// period, or if the thermal model cannot be constructed.
+    /// Fails if the chip has no cores, if the duration is not finite
+    /// and positive, if the thread count does not match the core count
+    /// (this study pins one thread per core), if traces disagree on
+    /// sample period, or if the thermal model cannot be constructed.
     pub fn new(
         cfg: SimConfig,
         dtm: DtmConfig,
@@ -289,6 +309,15 @@ impl ThermalTimingSim {
         traces: Vec<Arc<PowerTrace>>,
     ) -> Result<Self, SimError> {
         dtm.validate();
+        if cfg.cores == 0 {
+            return Err(SimError::BadInput("a chip needs at least one core".into()));
+        }
+        if !(cfg.duration.is_finite() && cfg.duration > 0.0) {
+            return Err(SimError::BadInput(format!(
+                "duration {} s is not finite and positive",
+                cfg.duration
+            )));
+        }
         if traces.len() != cfg.cores {
             return Err(SimError::BadInput(format!(
                 "{} traces for {} cores (one thread per core required)",
@@ -462,6 +491,7 @@ impl ThermalTimingSim {
             self.prof = Some(EngineProf {
                 obs: obs.clone(),
                 hists,
+                local: Default::default(),
                 phase_ns: [0; ENGINE_PHASES.len()],
                 steps: 0,
                 timed_steps: 0,
@@ -485,7 +515,7 @@ impl ThermalTimingSim {
             if let Some(last) = &mut p.clock {
                 let now = p.obs.now_ns();
                 let d = now - *last;
-                p.hists[phase].record(d);
+                p.local[phase].record(d);
                 p.phase_ns[phase] += d;
                 if p.sampled {
                     p.obs.record_span("engine", ENGINE_PHASES[phase], *last, d);
@@ -595,10 +625,19 @@ impl ThermalTimingSim {
     /// steady state of the largest fraction of full-speed mean power
     /// whose hottest sensor stays `init_hotspot_margin` °C below the
     /// threshold (capped at full power for workloads that never
-    /// overheat).
+    /// overheat). The search runs once per distinct input per process
+    /// (see [`crate::init_memo`]); a build that repeats one only
+    /// re-initializes the solver from the kept power vector.
     fn initialize_temperatures(&mut self) -> Result<(), SimError> {
-        let nb = self.floorplan.len();
-        let mut p_full = vec![0.0; nb];
+        let p = init_memo::solve_once(self.init_key(), |p_full| self.initial_power(p_full))?;
+        self.thermal.init_steady(&p)?;
+        Ok(())
+    }
+
+    /// The initial-state search's memo key: this chip's full-speed mean
+    /// power per block and every configuration input the search reads.
+    fn init_key(&self) -> InitKey {
+        let mut p_full = vec![0.0; self.floorplan.len()];
         for core in 0..self.cfg.cores {
             let trace = &self.traces[self.assignment[core]];
             for (u, &kind) in UnitKind::per_core().iter().enumerate() {
@@ -606,7 +645,14 @@ impl ThermalTimingSim {
             }
         }
         p_full[self.l2_block] += self.l2_idle;
+        InitKey::new(p_full, &self.cfg, &self.dtm)
+    }
 
+    /// The throttled-equilibrium search from full-speed power `p_full`:
+    /// the converged block power (dynamic plus leakage) of the initial
+    /// steady state.
+    fn initial_power(&self, p_full: &[f64]) -> Result<Vec<f64>, SimError> {
+        let nb = self.floorplan.len();
         // Steady temperatures at a power fraction, with the leakage
         // feedback converged by fixed-point iteration.
         let steady = |alpha: f64| -> Result<(Vec<f64>, Vec<f64>), SimError> {
@@ -625,7 +671,7 @@ impl ThermalTimingSim {
             }
             Ok((temps, p))
         };
-        let fast_r = self.thermal.model().fast_resistance().to_vec();
+        let fast_r = self.thermal.model().fast_resistance();
         let hottest_sensor = |temps: &[f64], power: &[f64]| -> f64 {
             self.sensor_blocks
                 .iter()
@@ -651,8 +697,7 @@ impl ThermalTimingSim {
             alpha = lo;
         }
         let (_, p) = steady(alpha)?;
-        self.thermal.init_steady(&p)?;
-        Ok(())
+        Ok(p)
     }
 
     /// A core's architectural frequency ceiling (1.0 unless the chip is
@@ -1105,7 +1150,16 @@ impl ThermalTimingSim {
     /// Propagates thermal-solver failures.
     pub fn run(&mut self) -> Result<RunResult, SimError> {
         lockstep(std::slice::from_mut(self), Until::Done)?;
-        Ok(self.result())
+        Ok(self.finish())
+    }
+
+    /// The result of a finished run, with the run's phase timings moved
+    /// into the attached handle's histograms first.
+    pub(crate) fn finish(&mut self) -> RunResult {
+        if let Some(p) = &mut self.prof {
+            p.flush();
+        }
+        self.result()
     }
 
     /// Metrics for the simulation so far.
@@ -1282,6 +1336,138 @@ mod tests {
             vec![hot_int()],
         );
         assert!(matches!(err, Err(SimError::BadInput(_))));
+    }
+
+    #[test]
+    fn zero_cores_is_rejected() {
+        let cfg = SimConfig {
+            cores: 0,
+            ..SimConfig::fast_test()
+        };
+        let err = ThermalTimingSim::new(cfg, DtmConfig::default(), PolicySpec::baseline(), vec![]);
+        assert!(matches!(err, Err(SimError::BadInput(_))), "{err:?}");
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_duration_is_rejected() {
+        for duration in [f64::INFINITY, f64::NAN, 0.0, -0.05] {
+            let cfg = SimConfig {
+                duration,
+                ..SimConfig::fast_test()
+            };
+            let err = ThermalTimingSim::new(
+                cfg,
+                DtmConfig::default(),
+                PolicySpec::baseline(),
+                vec![cool(), cool(), cool(), cool()],
+            );
+            assert!(
+                matches!(err, Err(SimError::BadInput(_))),
+                "duration {duration}: {err:?}"
+            );
+        }
+    }
+
+    /// A change to the fast-test chip's configuration.
+    type ConfigEdit = fn(&mut SimConfig, &mut DtmConfig);
+
+    /// The initial-state key of a fixed full-power vector on the
+    /// fast-test chip, after `edit` changes its configuration.
+    fn init_key_with(edit: ConfigEdit) -> InitKey {
+        let (mut cfg, mut dtm) = (SimConfig::fast_test(), DtmConfig::default());
+        edit(&mut cfg, &mut dtm);
+        InitKey::new(vec![1.0, 2.5, 0.25], &cfg, &dtm)
+    }
+
+    fn nudge(v: &mut f64) {
+        *v = v.next_up();
+    }
+
+    #[test]
+    fn init_memo_key_covers_every_input_of_the_search() {
+        let base = init_key_with(|_, _| {});
+        assert!(base.matches(&init_key_with(|_, _| {})), "same inputs");
+        let edits: [(&str, ConfigEdit); 8] = [
+            ("threshold", |_, d| nudge(&mut d.threshold)),
+            ("margin", |c, _| nudge(&mut c.init_hotspot_margin)),
+            ("logic_density", |c, _| nudge(&mut c.leakage.logic_density)),
+            ("sram_density", |c, _| nudge(&mut c.leakage.sram_density)),
+            ("t_ref", |c, _| nudge(&mut c.leakage.t_ref)),
+            ("beta", |c, _| nudge(&mut c.leakage.beta)),
+            ("cores", |c, _| c.cores = 2),
+            ("r_convection", |c, _| nudge(&mut c.package.r_convection)),
+        ];
+        for (input, edit) in edits {
+            assert!(!base.matches(&init_key_with(edit)), "{input} is not keyed");
+        }
+        let (cfg, dtm) = (SimConfig::fast_test(), DtmConfig::default());
+        let other_power = InitKey::new(vec![1.0, 2.5, 0.25f64.next_up()], &cfg, &dtm);
+        assert!(!base.matches(&other_power), "p_full is not keyed");
+        // Two workloads differ in their full-power vectors.
+        let build = |traces| {
+            ThermalTimingSim::new(cfg.clone(), dtm, PolicySpec::baseline(), traces)
+                .expect("construction")
+        };
+        let hot = build(vec![hot_int(), cool(), cool(), cool()]).init_key();
+        let cold = build(vec![cool(), cool(), cool(), cool()]).init_key();
+        assert!(!hot.matches(&cold), "two workloads share a key");
+    }
+
+    #[test]
+    fn memo_served_initial_state_is_bit_identical_to_a_fresh_search() {
+        let policy = spec(ThrottleKind::Dvfs, Scope::Distributed, MigrationKind::None);
+        let build = || {
+            let mut cfg = SimConfig::fast_test();
+            cfg.duration = 0.01;
+            let traces = vec![hot_int(), warm(), hot_fp(), cool()];
+            ThermalTimingSim::new(cfg, DtmConfig::default(), policy, traces).expect("build")
+        };
+        // The first build keeps its search; the second is served it.
+        let _ = build();
+        let mut served = build();
+        let mut fresh = build();
+        let p = fresh
+            .initial_power(fresh.init_key().p_full())
+            .expect("search");
+        fresh.thermal.init_steady(&p).expect("init");
+        fresh.read_sensors();
+        let bits = |s: &ThermalTimingSim| -> Vec<u64> {
+            let t = &s.thermal;
+            t.node_temps()
+                .iter()
+                .chain(t.fast_excess())
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&served), bits(&fresh), "initial node temperatures");
+        assert_eq!(
+            format!("{:?}", served.run().expect("served run")),
+            format!("{:?}", fresh.run().expect("fresh run")),
+            "a short run from the served initial state"
+        );
+    }
+
+    #[test]
+    fn profiled_run_fills_each_phase_histogram_once_per_timed_step() {
+        let mut cfg = SimConfig::fast_test();
+        cfg.duration = 0.01;
+        let mut sim = ThermalTimingSim::new(
+            cfg,
+            DtmConfig::default(),
+            spec(ThrottleKind::Dvfs, Scope::Distributed, MigrationKind::None),
+            vec![hot_int(), warm(), hot_fp(), cool()],
+        )
+        .expect("construction");
+        let obs = ObsHandle::enabled_default();
+        sim.attach_obs(&obs);
+        sim.run().expect("run");
+        let p = sim.prof.as_ref().expect("profiled");
+        assert_eq!(p.timed_steps, p.steps.div_ceil(TIMED_SAMPLE_STRIDE));
+        for (i, name) in ENGINE_PHASES.iter().enumerate() {
+            let h = obs.histogram(&format!("dtm_phase_{name}_ns"));
+            assert_eq!(h.count(), p.timed_steps, "{name}: records per timed step");
+            assert_eq!(h.sum(), p.phase_ns[i], "{name}: the unscaled phase total");
+        }
     }
 
     #[test]

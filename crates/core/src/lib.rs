@@ -89,6 +89,7 @@ mod alloc_count {
 mod batch;
 mod config;
 mod engine;
+mod init_memo;
 mod metrics;
 mod migration;
 mod policy;
@@ -105,6 +106,7 @@ pub use dtm_faults::{
 pub use dtm_obs::{Counter, Gauge, Histogram, ObsHandle};
 pub use dtm_thermal::SolverBackend;
 pub use engine::{SimError, ThermalTimingSim, ENGINE_PHASES};
+pub use init_memo::bind_init_memo_obs;
 pub use metrics::{
     geometric_mean, mean, GainStats, PhaseNs, PhaseProfile, Robustness, RunResult, ThreadStats,
 };

@@ -450,9 +450,10 @@ impl SweepRunner {
 
     /// Attaches an observability handle. The runner then records
     /// per-cell spans, wall/queue-wait histograms, and worker-busy
-    /// counters, binds the result cache's traffic counters for the
-    /// Prometheus export, and instruments every simulation it launches
-    /// (so results carry [`dtm_core::PhaseProfile`]s).
+    /// counters, binds the result cache's traffic counters and the
+    /// initial-state memo's hit and miss counters for the Prometheus
+    /// export, and instruments every simulation it launches (so results
+    /// carry [`dtm_core::PhaseProfile`]s).
     pub fn with_obs(mut self, obs: &ObsHandle) -> Self {
         self.obs = obs.clone();
         self
@@ -508,8 +509,9 @@ impl SweepRunner {
     pub fn run(&self, spec: SweepSpec) -> Result<SweepResults, SimError> {
         let sweep_start = Instant::now();
         let obs = self.obs.clone();
-        if let Some(cache) = &self.cache {
-            if obs.is_enabled() {
+        if obs.is_enabled() {
+            dtm_core::bind_init_memo_obs(&obs);
+            if let Some(cache) = &self.cache {
                 cache.bind_obs(&obs);
             }
         }

@@ -26,7 +26,7 @@ pub mod metrics;
 pub mod ring;
 
 pub use handle::{ObsHandle, DEFAULT_RING_CAPACITY};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge, Histogram, LocalHistogram};
 pub use ring::{Span, SpanRing};
 
 #[cfg(test)]

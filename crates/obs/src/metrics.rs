@@ -290,6 +290,58 @@ impl Histogram {
     pub fn p99(&self) -> u64 {
         self.quantile(0.99)
     }
+
+    /// Adds every observation `local` holds to this histogram, once per
+    /// non-empty bucket, and empties `local`. A disabled histogram only
+    /// empties it.
+    pub fn absorb(&self, local: &mut LocalHistogram) {
+        if let Some(core) = &self.0 {
+            for (shared, &n) in core.buckets.iter().zip(&local.buckets) {
+                if n > 0 {
+                    shared.fetch_add(n, Ordering::Relaxed);
+                }
+            }
+            core.count.fetch_add(local.count, Ordering::Relaxed);
+            core.sum.fetch_add(local.sum, Ordering::Relaxed);
+        }
+        *local = LocalHistogram::default();
+    }
+}
+
+/// A histogram one owner records into with plain adds: the log₂
+/// buckets, count and sum of a [`Histogram`], with none of its atomics.
+/// A hot loop records here and hands the lot to the shared histogram
+/// with [`Histogram::absorb`].
+#[derive(Debug)]
+pub struct LocalHistogram {
+    buckets: [u64; N_BUCKETS],
+    count: u64,
+    sum: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            buckets: [0; N_BUCKETS],
+            count: 0,
+            sum: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one observation (the sum wraps, as the shared one does).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[HistogramCore::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+    }
+
+    /// Number of observations not yet absorbed.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
 }
 
 #[cfg(test)]
@@ -378,6 +430,29 @@ mod tests {
         assert_eq!(Histogram::disabled().mean(), 0.0);
         let h = Histogram::from_core(Arc::new(HistogramCore::new()));
         assert_eq!(h.p50(), 0);
+    }
+
+    #[test]
+    fn absorbed_local_histogram_equals_direct_recording() {
+        let direct = Histogram::from_core(Arc::new(HistogramCore::new()));
+        let merged = Histogram::from_core(Arc::new(HistogramCore::new()));
+        let mut local = LocalHistogram::default();
+        for v in [0, 1, 3, 100, 100, 1 << 40, u64::MAX] {
+            direct.record(v);
+            local.record(v);
+        }
+        merged.record(7);
+        direct.record(7);
+        merged.absorb(&mut local);
+        assert_eq!(local.count(), 0, "absorbing empties the local histogram");
+        let core = |h: &Histogram| {
+            let c = h.0.as_ref().unwrap();
+            (c.bucket_counts(), c.count(), c.sum())
+        };
+        assert_eq!(core(&merged), core(&direct));
+        local.record(5);
+        Histogram::disabled().absorb(&mut local);
+        assert_eq!(local.count(), 0);
     }
 
     #[test]

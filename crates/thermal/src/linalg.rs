@@ -92,13 +92,18 @@ impl LaneRow {
 /// The matrix streams once per block of [`LANE_BLOCK`] lanes instead of
 /// once per lane, the block's packed input stays cache-resident across
 /// every row, and the four partial sums become [`LANE_BLOCK`]-wide
-/// independent accumulator chains the compiler vectorizes *across
-/// lanes*. Per lane, every multiply still lands on the same accumulator
-/// in the same (column-order) sequence as [`affine_matvec`]'s, followed
-/// by the same fold and tail, so every lane's output is bit-identical
-/// to a scalar `affine_matvec` over the same data. There is one path
-/// for every width: the input is already packed, so a row's
-/// accumulators stay in registers for its whole reduction.
+/// independent accumulator chains *across lanes*. Per lane, every
+/// multiply still lands on the same accumulator in the same
+/// (column-order) sequence as [`affine_matvec`]'s, followed by the same
+/// fold and tail, so every lane's output is bit-identical to a scalar
+/// `affine_matvec` over the same data.
+///
+/// The kernel is chosen at compile time from the target: an AVX-512F
+/// build runs a 512-bit kernel (one register per [`LaneRow`], two
+/// output rows per pass); every other build runs a portable loop the
+/// compiler vectorizes at its preferred width. Both do each lane's
+/// multiplies and adds as separate IEEE operations in the order above
+/// (never a fused multiply-add), so they agree bit for bit.
 ///
 /// # Panics
 ///
@@ -127,12 +132,42 @@ pub fn matmul_strided(
     let last = (lanes - 1) / LANE_BLOCK;
     assert!(x.len() >= last * ldx + cols, "input tile too short");
     assert!(y.len() >= last * ldy + rows, "output tile too short");
-    let whole = cols / 4 * 4;
 
     for b in 0..=last {
         let lb = (lanes - b * LANE_BLOCK).min(LANE_BLOCK);
         let xb = &x[b * ldx..b * ldx + cols];
         let yb = &mut y[b * ldy..b * ldy + rows];
+        // SAFETY: this build targets AVX-512F (the `cfg`), so every CPU
+        // it runs on has the instructions `zmm::block` is compiled for.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        unsafe {
+            zmm::block(cols, a, bias, xb, yb, lb)
+        };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+        portable::block(cols, a, bias, xb, yb, lb);
+    }
+}
+
+/// The portable lane kernel: plain `f64` loops over fixed-size arrays
+/// that the compiler vectorizes across the lanes of a block. It is the
+/// kernel of every build without AVX-512F; test builds compile it
+/// everywhere, so the 512-bit kernel is checked against it.
+#[cfg(any(test, not(all(target_arch = "x86_64", target_feature = "avx512f"))))]
+mod portable {
+    use super::{LaneRow, LANE_BLOCK};
+
+    /// One block of [`super::matmul_strided`]: every output row of
+    /// `yb` from the block's packed input rows `xb`, for its first
+    /// `lb` lanes.
+    pub(super) fn block(
+        cols: usize,
+        a: &[f64],
+        bias: &[f64],
+        xb: &[LaneRow],
+        yb: &mut [LaneRow],
+        lb: usize,
+    ) {
+        let whole = cols / 4 * 4;
         for (i, out) in yb.iter_mut().enumerate() {
             let row = &a[i * cols..(i + 1) * cols];
             let mut s = [[0.0f64; LANE_BLOCK]; 4];
@@ -140,46 +175,145 @@ pub fn matmul_strided(
             finish_row(row, whole, &s, xb, bias[i], out, lb);
         }
     }
-}
 
-/// The inner reduction of [`matmul_strided`]: fold `row` (length a
-/// multiple of 4) against the matching packed rows `xt` into the four
-/// [`LANE_BLOCK`]-wide partial sums, in column order. The
-/// `chunks_exact` + fixed-size-array shape is what lets the compiler
-/// drop every bounds check and keep the 8 accumulator vectors in
-/// registers.
-#[inline(always)]
-fn tile_accumulate(row: &[f64], xt: &[LaneRow], s: &mut [[f64; LANE_BLOCK]; 4]) {
-    for (r, xk) in row.chunks_exact(4).zip(xt.chunks_exact(4)) {
-        let r: &[f64; 4] = r.try_into().expect("chunks_exact(4) yields 4 values");
-        let xk: &[LaneRow; 4] = xk.try_into().expect("chunks_exact(4) yields 4 rows");
-        for j in 0..LANE_BLOCK {
-            s[0][j] += r[0] * xk[0].0[j];
-            s[1][j] += r[1] * xk[1].0[j];
-            s[2][j] += r[2] * xk[2].0[j];
-            s[3][j] += r[3] * xk[3].0[j];
+    /// The inner reduction: fold `row` (length a multiple of 4) against
+    /// the matching packed rows `xt` into the four [`LANE_BLOCK`]-wide
+    /// partial sums, in column order. The `chunks_exact` +
+    /// fixed-size-array shape is what lets the compiler drop every
+    /// bounds check and keep the 8 accumulator vectors in registers.
+    #[inline(always)]
+    fn tile_accumulate(row: &[f64], xt: &[LaneRow], s: &mut [[f64; LANE_BLOCK]; 4]) {
+        for (r, xk) in row.chunks_exact(4).zip(xt.chunks_exact(4)) {
+            let r: &[f64; 4] = r.try_into().expect("chunks_exact(4) yields 4 values");
+            let xk: &[LaneRow; 4] = xk.try_into().expect("chunks_exact(4) yields 4 rows");
+            for j in 0..LANE_BLOCK {
+                s[0][j] += r[0] * xk[0].0[j];
+                s[1][j] += r[1] * xk[1].0[j];
+                s[2][j] += r[2] * xk[2].0[j];
+                s[3][j] += r[3] * xk[3].0[j];
+            }
+        }
+    }
+
+    /// Fold, tail and bias of one output row for the first `lb` lanes
+    /// of a block, in [`super::folded_dot`]'s order.
+    #[inline(always)]
+    fn finish_row(
+        row: &[f64],
+        whole: usize,
+        s: &[[f64; LANE_BLOCK]; 4],
+        xb: &[LaneRow],
+        bias: f64,
+        out: &mut LaneRow,
+        lb: usize,
+    ) {
+        for j in 0..lb {
+            let mut v = (s[0][j] + s[1][j]) + (s[2][j] + s[3][j]);
+            for (&r, xk) in row[whole..].iter().zip(&xb[whole..]) {
+                v += r * xk.0[j];
+            }
+            out.0[j] = bias + v;
         }
     }
 }
 
-/// Fold, tail and bias of one output row for the first `lb` lanes of a
-/// block, in [`folded_dot`]'s order.
-#[inline(always)]
-fn finish_row(
-    row: &[f64],
-    whole: usize,
-    s: &[[f64; LANE_BLOCK]; 4],
-    xb: &[LaneRow],
-    bias: f64,
-    out: &mut LaneRow,
-    lb: usize,
-) {
-    for j in 0..lb {
-        let mut v = (s[0][j] + s[1][j]) + (s[2][j] + s[3][j]);
-        for (&r, xk) in row[whole..].iter().zip(&xb[whole..]) {
-            v += r * xk.0[j];
+/// The 512-bit lane kernel: one `zmm` register holds one [`LaneRow`],
+/// so a block's eight lanes move as one value. Each pass reduces two
+/// output rows with eight accumulators, so each packed input row is
+/// loaded once for both; an odd last row goes alone. Per lane it is the
+/// portable kernel's arithmetic exactly: column `k` lands on
+/// accumulator `k % 4` as a multiply and then a separate add
+/// (`_mm512_fmadd_pd` would round once instead of twice), then the same
+/// fold, tail and bias.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use super::{LaneRow, LANE_BLOCK};
+    use std::arch::x86_64::{
+        __m512d, _mm512_add_pd, _mm512_load_pd, _mm512_mask_store_pd, _mm512_mul_pd,
+        _mm512_set1_pd, _mm512_setzero_pd, _mm512_store_pd,
+    };
+
+    const _: () = assert!(std::mem::size_of::<LaneRow>() == std::mem::size_of::<__m512d>());
+
+    /// One block of [`super::matmul_strided`], as the portable kernel
+    /// computes it; lanes at or past `lb` are never written.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn block(
+        cols: usize,
+        a: &[f64],
+        bias: &[f64],
+        xb: &[LaneRow],
+        yb: &mut [LaneRow],
+        lb: usize,
+    ) {
+        let row = |i: usize| &a[i * cols..(i + 1) * cols];
+        let odd = yb.len() / 2 * 2;
+        let mut pairs = yb.chunks_exact_mut(2);
+        for (p, out) in pairs.by_ref().enumerate() {
+            let i = 2 * p;
+            let [v0, v1] = dots([row(i), row(i + 1)], [bias[i], bias[i + 1]], xb);
+            store(&mut out[0], v0, lb);
+            store(&mut out[1], v1, lb);
         }
-        out.0[j] = bias + v;
+        if let [out] = pairs.into_remainder() {
+            let [v] = dots([row(odd)], [bias[odd]], xb);
+            store(out, v, lb);
+        }
+    }
+
+    /// `bias[r]` plus the folded dot product of matrix row `rows[r]`
+    /// (each `xb.len()` long) against the block's packed input rows,
+    /// for each of the `R` rows.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn dots<const R: usize>(rows: [&[f64]; R], bias: [f64; R], xb: &[LaneRow]) -> [__m512d; R] {
+        let (xc, xt) = xb.as_chunks::<4>();
+        let rc = rows.map(|r| &r.as_chunks::<4>().0[..xc.len()]);
+        let mut s = [[_mm512_setzero_pd(); 4]; R];
+        for (k, xk) in xc.iter().enumerate() {
+            let xv = [load(&xk[0]), load(&xk[1]), load(&xk[2]), load(&xk[3])];
+            for (sr, c) in s.iter_mut().zip(&rc) {
+                for q in 0..4 {
+                    sr[q] = _mm512_add_pd(sr[q], _mm512_mul_pd(_mm512_set1_pd(c[k][q]), xv[q]));
+                }
+            }
+        }
+        std::array::from_fn(|r| {
+            let [s0, s1, s2, s3] = s[r];
+            let mut v = _mm512_add_pd(_mm512_add_pd(s0, s1), _mm512_add_pd(s2, s3));
+            for (&c, xk) in rows[r][4 * xc.len()..].iter().zip(xt) {
+                v = _mm512_add_pd(v, _mm512_mul_pd(_mm512_set1_pd(c), load(xk)));
+            }
+            _mm512_add_pd(_mm512_set1_pd(bias[r]), v)
+        })
+    }
+
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn load(row: &LaneRow) -> __m512d {
+        // SAFETY: `row` is a live `LaneRow`: eight `f64`s at a 64-byte
+        // aligned address, exactly what the aligned load reads. The
+        // shape asserts of `matmul_strided` are what keep every slice
+        // this kernel borrows from in bounds.
+        unsafe { _mm512_load_pd(row.0.as_ptr()) }
+    }
+
+    /// Writes the first `lb` lanes of `v` to `out`; a ragged block's
+    /// masked store leaves the lanes past `lb` as they were.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn store(out: &mut LaneRow, v: __m512d, lb: usize) {
+        let ptr = out.0.as_mut_ptr();
+        // SAFETY: as in `load`, `out` is a live, 64-byte aligned
+        // `LaneRow`, exclusively borrowed; the masked store touches only
+        // its lanes below `lb <= LANE_BLOCK`.
+        unsafe {
+            if lb == LANE_BLOCK {
+                _mm512_store_pd(ptr, v)
+            } else {
+                _mm512_mask_store_pd(ptr, (1u8 << lb) - 1, v)
+            }
+        }
     }
 }
 
@@ -666,6 +800,31 @@ mod tests {
                     prod[(i, l)]
                 );
             }
+        }
+    }
+
+    /// The 512-bit kernel against the portable one it replaces on
+    /// AVX-512F builds, block by block: odd and even row counts (the
+    /// odd last row goes alone), every column tail, and a ragged block.
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+    #[test]
+    fn zmm_kernel_matches_the_portable_kernel_bitwise() {
+        let lanes = 13;
+        for (rows, cols) in [(1, 1), (2, 3), (5, 4), (6, 7), (9, 17), (63, 116)] {
+            let a = fill(11, rows * cols);
+            let bias = fill(12, rows);
+            let x = pack(&fill(13, lanes * cols), cols, lanes, cols, 0.5);
+            let mut y = vec![LaneRow([9.0; LANE_BLOCK]); 2 * rows];
+            matmul_strided(rows, cols, &a, &bias, &x, cols, &mut y, rows, lanes);
+            let mut yref = vec![LaneRow([9.0; LANE_BLOCK]); 2 * rows];
+            for (b, yb) in yref.chunks_exact_mut(rows).enumerate() {
+                let lb = (lanes - b * LANE_BLOCK).min(LANE_BLOCK);
+                portable::block(cols, &a, &bias, &x[b * cols..(b + 1) * cols], yb, lb);
+            }
+            let bits = |t: &[LaneRow]| -> Vec<u64> {
+                t.iter().flat_map(|r| r.0.map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&y), bits(&yref), "{rows}x{cols} diverged");
         }
     }
 
