@@ -298,10 +298,12 @@ impl ThermalTimingSim {
     ///
     /// # Errors
     ///
-    /// Fails if the chip has no cores, if the duration is not finite
-    /// and positive, if the thread count does not match the core count
-    /// (this study pins one thread per core), if traces disagree on
-    /// sample period, or if the thermal model cannot be constructed.
+    /// Fails if the chip has no cores, if the duration or the thermal
+    /// substep is not finite and positive, if a leakage density or
+    /// `beta` is negative or not finite or `t_ref` is not finite, if the
+    /// thread count does not match the core count (this study pins one
+    /// thread per core), if traces disagree on sample period, or if the
+    /// thermal model cannot be constructed.
     pub fn new(
         cfg: SimConfig,
         dtm: DtmConfig,
@@ -316,6 +318,30 @@ impl ThermalTimingSim {
             return Err(SimError::BadInput(format!(
                 "duration {} s is not finite and positive",
                 cfg.duration
+            )));
+        }
+        if !(cfg.thermal_substep.is_finite() && cfg.thermal_substep > 0.0) {
+            return Err(SimError::BadInput(format!(
+                "thermal substep {} s is not finite and positive",
+                cfg.thermal_substep
+            )));
+        }
+        let leak = &cfg.leakage;
+        for (name, value) in [
+            ("logic_density", leak.logic_density),
+            ("sram_density", leak.sram_density),
+            ("beta", leak.beta),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(SimError::BadInput(format!(
+                    "leakage {name} {value} is not finite and non-negative"
+                )));
+            }
+        }
+        if !leak.t_ref.is_finite() {
+            return Err(SimError::BadInput(format!(
+                "leakage t_ref {} is not finite",
+                leak.t_ref
             )));
         }
         if traces.len() != cfg.cores {
@@ -1365,6 +1391,61 @@ mod tests {
                 matches!(err, Err(SimError::BadInput(_))),
                 "duration {duration}: {err:?}"
             );
+        }
+    }
+
+    /// Builds a fast-test simulator of four cool threads after `edit`
+    /// changes its configuration.
+    fn build_with(edit: impl Fn(&mut SimConfig)) -> Result<ThermalTimingSim, SimError> {
+        let mut cfg = SimConfig::fast_test();
+        edit(&mut cfg);
+        ThermalTimingSim::new(
+            cfg,
+            DtmConfig::default(),
+            PolicySpec::baseline(),
+            vec![cool(), cool(), cool(), cool()],
+        )
+    }
+
+    #[test]
+    fn non_finite_or_non_positive_thermal_substep_is_rejected() {
+        for v in [0.0, -7e-6, f64::NAN, f64::INFINITY] {
+            let err = build_with(|c| c.thermal_substep = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn negative_or_non_finite_logic_leakage_density_is_rejected() {
+        for v in [-1.0, f64::NAN, f64::INFINITY] {
+            let err = build_with(|c| c.leakage.logic_density = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn negative_or_non_finite_sram_leakage_density_is_rejected() {
+        for v in [-1.0, f64::NAN, f64::NEG_INFINITY] {
+            let err = build_with(|c| c.leakage.sram_density = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn negative_or_non_finite_leakage_beta_is_rejected() {
+        for v in [-0.01, f64::NAN, f64::INFINITY] {
+            let err = build_with(|c| c.leakage.beta = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_leakage_reference_temperature_is_rejected() {
+        // A NaN t_ref used to build and run: the exponent's clamp turned
+        // every block's leakage into its 150 K maximum.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = build_with(|c| c.leakage.t_ref = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
         }
     }
 

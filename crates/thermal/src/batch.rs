@@ -26,11 +26,10 @@
 //! **Fallback contract.** Batching is an execution strategy, not a
 //! configuration: when the lanes do *not* all resolve to one shared
 //! propagator (backward-Euler backend, latched fallback, or differing
-//! thermal configurations), [`step_lumped_batch`]/[`step_grid_batch`]
-//! return `Ok(false)` without touching any state, and the caller steps
-//! each lane through its scalar path.
+//! thermal configurations), [`step_lumped_batch`] returns `Ok(false)`
+//! without touching any state, and the caller steps each lane through
+//! its scalar path.
 
-use crate::grid::GridTransient;
 use crate::linalg::{LaneRow, LANE_BLOCK};
 use crate::model::{ThermalError, TransientSolver};
 use crate::propagator::Propagator;
@@ -54,56 +53,21 @@ impl BatchWorkspace {
     }
 }
 
-/// The solver-side surface a lockstep lane needs: resolve the shared
-/// propagator, validate power, expose state, and run any post-advance
-/// update. Crate-internal so the lumped and grid solvers keep their
-/// fields private.
-trait LaneSolver {
-    fn lane_prop(&mut self, dt: f64) -> Option<&Arc<Propagator>>;
-    fn lane_check_power(&self, power: &[f64]) -> Result<(), ThermalError>;
-    fn lane_temps(&self) -> &[f64];
-    fn lane_temps_mut(&mut self) -> &mut [f64];
-    fn lane_post_advance(&mut self, power: &[f64], dt: f64);
-}
-
-impl LaneSolver for TransientSolver {
-    fn lane_prop(&mut self, dt: f64) -> Option<&Arc<Propagator>> {
-        self.batch_prop(dt)
-    }
-    fn lane_check_power(&self, power: &[f64]) -> Result<(), ThermalError> {
-        self.batch_check_power(power)
-    }
-    fn lane_temps(&self) -> &[f64] {
-        self.node_temps()
-    }
-    fn lane_temps_mut(&mut self) -> &mut [f64] {
-        self.temps_mut()
-    }
-    fn lane_post_advance(&mut self, power: &[f64], dt: f64) {
-        self.batch_fast_mode(power, dt);
-    }
-}
-
-impl LaneSolver for GridTransient {
-    fn lane_prop(&mut self, dt: f64) -> Option<&Arc<Propagator>> {
-        self.batch_prop(dt)
-    }
-    fn lane_check_power(&self, power: &[f64]) -> Result<(), ThermalError> {
-        self.batch_check_power(power)
-    }
-    fn lane_temps(&self) -> &[f64] {
-        self.cell_temps()
-    }
-    fn lane_temps_mut(&mut self) -> &mut [f64] {
-        self.temps_mut()
-    }
-    fn lane_post_advance(&mut self, _power: &[f64], _dt: f64) {
-        // The grid solver has no sub-block fast mode.
-    }
-}
-
-fn step_batch<S: LaneSolver>(
-    lanes: &mut [(&mut S, &[f64])],
+/// Advances every lumped-model lane by `dt` in lockstep with one
+/// batched propagator call. Each pair is a solver plus the constant
+/// per-block power it sees over this step.
+///
+/// Returns `Ok(true)` when the batched kernel ran (every lane now
+/// bit-identical to its scalar `step`), `Ok(false)` when the group was
+/// not batchable and **no state was modified** — the caller must then
+/// step each lane scalar.
+///
+/// # Errors
+///
+/// Propagates the per-lane power-vector validation failures a scalar
+/// `step` would raise; no lane is modified then either.
+pub fn step_lumped_batch(
+    lanes: &mut [(&mut TransientSolver, &[f64])],
     dt: f64,
     ws: &mut BatchWorkspace,
 ) -> Result<bool, ThermalError> {
@@ -118,7 +82,7 @@ fn step_batch<S: LaneSolver>(
     // Validate every lane's power exactly as its scalar step would,
     // before any state is touched.
     for (solver, power) in lanes.iter() {
-        solver.lane_check_power(power)?;
+        solver.batch_check_power(power)?;
     }
     // All lanes must resolve to the *same* shared propagator instance
     // (`Arc` identity, courtesy of the process-wide cache). Anything
@@ -126,7 +90,7 @@ fn step_batch<S: LaneSolver>(
     // configuration or dt — and the whole group falls back to scalar.
     let mut shared: Option<Arc<Propagator>> = None;
     for (solver, _) in lanes.iter_mut() {
-        match solver.lane_prop(dt) {
+        match solver.batch_prop(dt) {
             Some(p) => match &shared {
                 Some(first) if Arc::ptr_eq(first, p) => {}
                 Some(_) => return Ok(false),
@@ -149,7 +113,7 @@ fn step_batch<S: LaneSolver>(
     for (tile, block) in ws.x.chunks_exact_mut(width).zip(lanes.chunks(LANE_BLOCK)) {
         let src: [(&[f64], &[f64]); LANE_BLOCK] = std::array::from_fn(|j| {
             let (solver, power) = &block[j.min(block.len() - 1)];
-            (solver.lane_temps(), *power)
+            (solver.node_temps(), *power)
         });
         let (tx, tp) = tile.split_at_mut(n);
         interleave(tx, src.map(|(temps, _)| temps));
@@ -158,18 +122,14 @@ fn step_batch<S: LaneSolver>(
 
     prop.advance_batch(&ws.x, width, &mut ws.y, n, lanes.len());
 
-    // Scatter, then the per-lane post-advance (fast mode), in the same
+    // Scatter, then each lane's fast mode, in the same
     // advance-then-fast order as the scalar step.
     for (l, (solver, power)) in lanes.iter_mut().enumerate() {
         let (b, j) = (l / LANE_BLOCK, l % LANE_BLOCK);
-        for (t, row) in solver
-            .lane_temps_mut()
-            .iter_mut()
-            .zip(&ws.y[b * n..(b + 1) * n])
-        {
+        for (t, row) in solver.temps_mut().iter_mut().zip(&ws.y[b * n..(b + 1) * n]) {
             *t = row.0[j];
         }
-        solver.lane_post_advance(power, dt);
+        solver.batch_fast_mode(power, dt);
     }
     Ok(true)
 }
@@ -194,48 +154,10 @@ fn grow(tile: &mut Vec<LaneRow>, len: usize) {
     }
 }
 
-/// Advances every lumped-model lane by `dt` in lockstep with one
-/// batched propagator call. Each pair is a solver plus the constant
-/// per-block power it sees over this step.
-///
-/// Returns `Ok(true)` when the batched kernel ran (every lane now
-/// bit-identical to its scalar `step`), `Ok(false)` when the group was
-/// not batchable and **no state was modified** — the caller must then
-/// step each lane scalar.
-///
-/// # Errors
-///
-/// Propagates the per-lane power-vector validation failures a scalar
-/// `step` would raise; no lane is modified then either.
-pub fn step_lumped_batch(
-    lanes: &mut [(&mut TransientSolver, &[f64])],
-    dt: f64,
-    ws: &mut BatchWorkspace,
-) -> Result<bool, ThermalError> {
-    step_batch(lanes, dt, ws)
-}
-
-/// Advances every grid-model lane by `dt` in lockstep with one batched
-/// propagator call. Semantics identical to [`step_lumped_batch`].
-///
-/// # Errors
-///
-/// Propagates the per-lane power-vector validation failures a scalar
-/// `step` would raise.
-pub fn step_grid_batch(
-    lanes: &mut [(&mut GridTransient, &[f64])],
-    dt: f64,
-    ws: &mut BatchWorkspace,
-) -> Result<bool, ThermalError> {
-    step_batch(lanes, dt, ws)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        GridConfig, GridThermalModel, PackageConfig, SolverBackend, ThermalModel, TransientSolver,
-    };
+    use crate::{PackageConfig, SolverBackend, ThermalModel, TransientSolver};
     use dtm_floorplan::Floorplan;
 
     const DT: f64 = 27.78e-6;
@@ -276,40 +198,6 @@ mod tests {
         for (l, (b, s)) in batched.iter().zip(&scalar).enumerate() {
             assert_eq!(b.node_temps(), s.node_temps(), "lane {l} node temps");
             assert_eq!(b.fast_excess(), s.fast_excess(), "lane {l} fast mode");
-        }
-    }
-
-    #[test]
-    fn grid_batch_is_bit_identical_to_scalar_steps() {
-        let fp = Floorplan::ppc_cmp(1);
-        let pkg = PackageConfig::default();
-        let cfg = GridConfig { cols: 8, rows: 12 };
-        let build = || {
-            let m = GridThermalModel::new(&fp, &pkg, cfg).unwrap();
-            let mut s = GridTransient::new(m, 7e-6);
-            s.prewarm(DT).unwrap();
-            s
-        };
-        let n_lanes = 3;
-        let nb = fp.len();
-        let powers: Vec<Vec<f64>> = (0..n_lanes).map(|l| lane_power(l + 9, nb)).collect();
-        let mut batched: Vec<GridTransient> = (0..n_lanes).map(|_| build()).collect();
-        let mut scalar: Vec<GridTransient> = batched.clone();
-
-        let mut ws = BatchWorkspace::new();
-        for _ in 0..40 {
-            let mut lanes: Vec<(&mut GridTransient, &[f64])> = batched
-                .iter_mut()
-                .zip(&powers)
-                .map(|(s, p)| (s, p.as_slice()))
-                .collect();
-            assert!(step_grid_batch(&mut lanes, DT, &mut ws).unwrap());
-            for (s, p) in scalar.iter_mut().zip(&powers) {
-                s.step(p, DT).unwrap();
-            }
-        }
-        for (l, (b, s)) in batched.iter().zip(&scalar).enumerate() {
-            assert_eq!(b.temps().cells(), s.temps().cells(), "lane {l} cells");
         }
     }
 

@@ -14,9 +14,8 @@
 //!    measures the true within-block peak-over-average gradient that
 //!    correction stands in for.
 
-use crate::linalg::{LuFactors, Matrix};
+use crate::linalg::Matrix;
 use crate::model::{check_block_power, ThermalError};
-use crate::propagator::{PowerMap, Propagator, SolverBackend};
 use crate::PackageConfig;
 use dtm_floorplan::Floorplan;
 
@@ -64,7 +63,6 @@ pub struct GridThermalModel {
     cells_of_block: Vec<Vec<usize>>,
     a: Matrix,
     g_amb: Vec<f64>,
-    cap: Vec<f64>,
     ambient: f64,
 }
 
@@ -274,22 +272,6 @@ impl GridThermalModel {
             cells_of_block.push(cells);
         }
 
-        // Capacitances: silicon cells plus the same package lumps as the
-        // block model.
-        let mut cap = vec![0.0; n];
-        for c in cap.iter_mut().take(n_cells) {
-            *c = package.c_silicon * cell_area * package.t_silicon;
-        }
-        cap[sp_c] = package.c_copper * chip_area * package.spreader_thickness;
-        for &node in &sp_edge {
-            cap[node] = package.c_copper * periph_area * package.spreader_thickness;
-        }
-        cap[si_c] = package.c_copper * sp_area * package.sink_thickness;
-        let sink_periph_area = ((sink_area - sp_area) / 4.0).max(1e-8);
-        for &node in &si_edge {
-            cap[node] = package.c_copper * sink_periph_area * package.sink_thickness;
-        }
-
         Ok(GridThermalModel {
             cols,
             rows,
@@ -298,7 +280,6 @@ impl GridThermalModel {
             cells_of_block,
             a,
             g_amb,
-            cap,
             ambient: package.ambient,
         })
     }
@@ -323,13 +304,8 @@ impl GridThermalModel {
         Ok(GridTemps { model: self, temps })
     }
 
-    /// Validates a power vector without building the right-hand side.
-    fn check_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
-        check_block_power(self.n_blocks, block_power)
-    }
-
     fn rhs(&self, block_power: &[f64]) -> Result<Vec<f64>, ThermalError> {
-        self.check_power(block_power)?;
+        check_block_power(self.n_blocks, block_power)?;
         let n = self.a.rows();
         let mut p = vec![0.0; n];
         for (b, &watts) in block_power.iter().enumerate() {
@@ -341,232 +317,6 @@ impl GridThermalModel {
             p[i] += self.g_amb[i] * self.ambient;
         }
         Ok(p)
-    }
-}
-
-/// Transient integrator for the grid model, mirroring
-/// [`crate::TransientSolver`]: the exact matrix-exponential propagator
-/// by default (with the block→cell power weights folded into the input
-/// matrix, so a step takes one dense matvec), backward Euler with a
-/// cached LU factorization as the reference/fallback backend. Intended
-/// for validation studies; the DTM simulations use the much cheaper
-/// block model.
-#[derive(Debug, Clone)]
-pub struct GridTransient {
-    model: GridThermalModel,
-    temps: Vec<f64>,
-    max_substep: f64,
-    backend: SolverBackend,
-    /// Latched when propagator construction failed (see
-    /// [`crate::propagator`] for the fallback conditions).
-    prop_fallback: bool,
-    cached: Option<(f64, LuFactors)>,
-    prop: Option<std::sync::Arc<Propagator>>,
-    xbuf: Vec<f64>,
-    sol_buf: Vec<f64>,
-}
-
-impl GridTransient {
-    /// Creates a transient solver at ambient temperature with the
-    /// default exact-propagator backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_substep` is not positive and finite.
-    pub fn new(model: GridThermalModel, max_substep: f64) -> Self {
-        assert!(
-            max_substep.is_finite() && max_substep > 0.0,
-            "substep must be positive"
-        );
-        let temps = vec![model.ambient; model.a.rows()];
-        GridTransient {
-            model,
-            temps,
-            max_substep,
-            backend: SolverBackend::default(),
-            prop_fallback: false,
-            cached: None,
-            prop: None,
-            xbuf: Vec::new(),
-            sol_buf: Vec::new(),
-        }
-    }
-
-    /// Selects the integration backend (builder style).
-    pub fn with_backend(mut self, backend: SolverBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The backend this solver was configured with.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
-    }
-
-    /// Whether a propagator-backend solver has permanently fallen back
-    /// to backward Euler.
-    pub fn in_fallback(&self) -> bool {
-        self.prop_fallback
-    }
-
-    /// The underlying grid model.
-    pub fn model(&self) -> &GridThermalModel {
-        &self.model
-    }
-
-    /// Current temperatures viewed with block statistics.
-    pub fn temps(&self) -> GridTemps<'_> {
-        GridTemps {
-            model: &self.model,
-            temps: self.temps.clone(),
-        }
-    }
-
-    /// Initializes from the steady state of `block_power`.
-    ///
-    /// # Errors
-    ///
-    /// See [`GridThermalModel::steady_state`].
-    pub fn init_steady(&mut self, block_power: &[f64]) -> Result<(), ThermalError> {
-        self.temps = self.model.steady_state(block_power)?.temps;
-        Ok(())
-    }
-
-    /// Prebuilds the per-`dt` caches the active backend needs (the
-    /// propagator, or the backward-Euler LU), so the first `step` at
-    /// that `dt` doesn't pay construction cost inside a timed loop.
-    /// Stepping without prewarming is numerically identical.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a non-physical `dt` or a singular system; a propagator
-    /// construction failure latches the fallback instead of erroring.
-    pub fn prewarm(&mut self, dt: f64) -> Result<(), ThermalError> {
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(ThermalError::NotPhysical(format!("dt = {dt}")));
-        }
-        if self.backend == SolverBackend::Propagator && !self.prop_fallback {
-            self.ensure_propagator(dt);
-        }
-        if self.backend == SolverBackend::BackwardEuler || self.prop_fallback {
-            self.ensure_lu(dt)?;
-        }
-        Ok(())
-    }
-
-    /// Builds (or rebuilds, after a `dt` change) the cached propagator,
-    /// folding the block→cell weights into `F`; on failure latches the
-    /// permanent backward-Euler fallback.
-    fn ensure_propagator(&mut self, dt: f64) {
-        let needs_build = match &self.prop {
-            Some(p) => (p.dt() - dt).abs() > 1e-15,
-            None => true,
-        };
-        if needs_build {
-            // Served from the process-wide cache when an identical
-            // grid configuration already built one (bit-identical).
-            match Propagator::shared(
-                &self.model.a,
-                &self.model.cap,
-                &self.model.g_amb,
-                self.model.ambient,
-                self.model.n_blocks,
-                PowerMap::Weighted(&self.model.weights),
-                dt,
-            ) {
-                Ok(p) => self.prop = Some(p),
-                Err(_) => self.prop_fallback = true,
-            }
-        }
-    }
-
-    /// Factors (or re-factors, after a `dt` change) the backward-Euler
-    /// LU cache; returns the substep count and length for `dt`.
-    fn ensure_lu(&mut self, dt: f64) -> Result<(usize, f64), ThermalError> {
-        let n_sub = (dt / self.max_substep).ceil().max(1.0) as usize;
-        let h = dt / n_sub as f64;
-        let needs_factor = match &self.cached {
-            Some((cached_h, _)) => (cached_h - h).abs() > 1e-15,
-            None => true,
-        };
-        if needs_factor {
-            let n = self.model.a.rows();
-            let mut m = self.model.a.clone();
-            for i in 0..n {
-                m[(i, i)] += self.model.cap[i] / h;
-            }
-            self.cached = Some((h, m.lu()?));
-        }
-        Ok((n_sub, h))
-    }
-
-    /// Batched-stepping handle for [`crate::batch`]: see
-    /// `TransientSolver::batch_prop` — identical semantics, including
-    /// latching the permanent fallback on a failed rebuild.
-    pub(crate) fn batch_prop(&mut self, dt: f64) -> Option<&std::sync::Arc<Propagator>> {
-        if self.backend != SolverBackend::Propagator || self.prop_fallback {
-            return None;
-        }
-        self.ensure_propagator(dt);
-        if self.prop_fallback {
-            return None;
-        }
-        self.prop.as_ref()
-    }
-
-    /// Validates a power vector exactly as `step` would before the
-    /// propagator advance.
-    pub(crate) fn batch_check_power(&self, block_power: &[f64]) -> Result<(), ThermalError> {
-        self.model.check_power(block_power)
-    }
-
-    /// Cell/node temperatures, for the batched gather.
-    pub(crate) fn cell_temps(&self) -> &[f64] {
-        &self.temps
-    }
-
-    /// Mutable cell/node temperatures, for the batched scatter.
-    pub(crate) fn temps_mut(&mut self) -> &mut [f64] {
-        &mut self.temps
-    }
-
-    /// Advances by `dt` seconds at constant per-block power.
-    ///
-    /// # Errors
-    ///
-    /// Fails on bad inputs or a singular system.
-    pub fn step(&mut self, block_power: &[f64], dt: f64) -> Result<(), ThermalError> {
-        if !(dt.is_finite() && dt > 0.0) {
-            return Err(ThermalError::NotPhysical(format!("dt = {dt}")));
-        }
-        if self.backend == SolverBackend::Propagator && !self.prop_fallback {
-            self.model.check_power(block_power)?;
-            self.ensure_propagator(dt);
-            if !self.prop_fallback {
-                let p = self.prop.as_ref().expect("propagator built above");
-                p.advance(
-                    &mut self.temps,
-                    block_power,
-                    &mut self.xbuf,
-                    &mut self.sol_buf,
-                );
-                return Ok(());
-            }
-        }
-        let p = self.model.rhs(block_power)?;
-        let (n_sub, h) = self.ensure_lu(dt)?;
-        let (_, lu) = self.cached.as_ref().expect("factor cached above");
-        for _ in 0..n_sub {
-            let rhs: Vec<f64> = self
-                .temps
-                .iter()
-                .zip(&self.model.cap)
-                .zip(&p)
-                .map(|((t, c), pi)| pi + c / h * t)
-                .collect();
-            self.temps = lu.solve(&rhs);
-        }
-        Ok(())
     }
 }
 
@@ -650,92 +400,6 @@ mod tests {
         let tf = fine.steady_state(&power).unwrap().block_max(rf);
         // Finer grids resolve sharper (hotter) peaks.
         assert!(tf >= tc - 0.2, "fine {tf} vs coarse {tc}");
-    }
-
-    #[test]
-    fn grid_transient_converges_to_steady_state() {
-        let (fp, pkg) = setup();
-        let model = GridThermalModel::new(&fp, &pkg, GridConfig { cols: 8, rows: 12 }).unwrap();
-        let power = vec![0.4; fp.len()];
-        let expect = model.steady_state(&power).unwrap().temps.clone();
-        let mut sim = GridTransient::new(model, 50e-6);
-        sim.init_steady(&power).unwrap();
-        for _ in 0..50 {
-            sim.step(&power, 1e-3).unwrap();
-        }
-        for (t, e) in sim.temps().temps.iter().zip(&expect) {
-            assert!((t - e).abs() < 0.05, "t={t} e={e}");
-        }
-    }
-
-    #[test]
-    fn grid_transient_heats_under_power_step() {
-        let (fp, pkg) = setup();
-        let rf = fp.block_of(0, UnitKind::IntRegFile).unwrap();
-        let model = GridThermalModel::new(&fp, &pkg, GridConfig { cols: 8, rows: 12 }).unwrap();
-        let mut sim = GridTransient::new(model, 50e-6);
-        let mut power = vec![0.2; fp.len()];
-        sim.init_steady(&power).unwrap();
-        let before = sim.temps().block_max(rf);
-        power[rf] = 4.0;
-        for _ in 0..40 {
-            sim.step(&power, 1e-3).unwrap();
-        }
-        let after = sim.temps().block_max(rf);
-        assert!(after > before + 1.0, "before {before} after {after}");
-    }
-
-    #[test]
-    fn grid_propagator_cache_invalidates_on_dt_change() {
-        let (fp, pkg) = setup();
-        let model = GridThermalModel::new(&fp, &pkg, GridConfig { cols: 6, rows: 8 }).unwrap();
-        let p = vec![0.5; fp.len()];
-        let (dt1, dt2) = (27.78e-6, 83.34e-6);
-
-        let mut a = GridTransient::new(model.clone(), 7e-6);
-        a.init_steady(&vec![0.2; fp.len()]).unwrap();
-        for _ in 0..3 {
-            a.step(&p, dt1).unwrap();
-        }
-        assert!((a.prop.as_ref().unwrap().dt() - dt1).abs() < 1e-18);
-        // A fresh solver resumed from A's mid-run state, never having
-        // seen dt1, must match bitwise once both step at dt2.
-        let mut b = GridTransient::new(model, 7e-6);
-        b.temps = a.temps.clone();
-        for _ in 0..3 {
-            a.step(&p, dt2).unwrap();
-            b.step(&p, dt2).unwrap();
-        }
-        assert!((a.prop.as_ref().unwrap().dt() - dt2).abs() < 1e-18);
-        assert_eq!(a.temps, b.temps);
-    }
-
-    #[test]
-    fn grid_backends_agree_on_a_transient() {
-        let (fp, pkg) = setup();
-        let model = GridThermalModel::new(&fp, &pkg, GridConfig { cols: 6, rows: 8 }).unwrap();
-        let p = vec![0.6; fp.len()];
-        let mut exact = GridTransient::new(model.clone(), 7e-6);
-        let mut euler = GridTransient::new(model, 7e-6).with_backend(SolverBackend::BackwardEuler);
-        exact.init_steady(&vec![0.2; fp.len()]).unwrap();
-        euler.init_steady(&vec![0.2; fp.len()]).unwrap();
-        for _ in 0..20 {
-            exact.step(&p, 27.78e-6).unwrap();
-            euler.step(&p, 27.78e-6).unwrap();
-        }
-        assert!(!exact.in_fallback());
-        assert!(exact.cached.is_none(), "propagator path must not factor LU");
-        for (x, y) in exact.temps.iter().zip(&euler.temps) {
-            assert!((x - y).abs() < 0.05, "exact {x} vs euler {y}");
-        }
-    }
-
-    #[test]
-    fn grid_transient_rejects_bad_dt() {
-        let (fp, pkg) = setup();
-        let model = GridThermalModel::new(&fp, &pkg, GridConfig { cols: 4, rows: 4 }).unwrap();
-        let mut sim = GridTransient::new(model, 50e-6);
-        assert!(sim.step(&vec![0.0; fp.len()], -1.0).is_err());
     }
 
     #[test]

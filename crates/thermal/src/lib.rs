@@ -46,8 +46,8 @@ mod package;
 mod propagator;
 mod sensor;
 
-pub use batch::{step_grid_batch, step_lumped_batch, BatchWorkspace};
-pub use grid::{GridConfig, GridTemps, GridThermalModel, GridTransient};
+pub use batch::{step_lumped_batch, BatchWorkspace};
+pub use grid::{GridConfig, GridTemps, GridThermalModel};
 pub use leakage::LeakageModel;
 pub use model::{ThermalError, ThermalModel, TransientSolver};
 pub use package::PackageConfig;

@@ -24,7 +24,7 @@
 //! reference integrator is selected explicitly.
 
 use crate::linalg::{LinalgError, LuFactors, Matrix};
-use crate::propagator::{PowerMap, Propagator, SolverBackend};
+use crate::propagator::{Propagator, SolverBackend};
 use crate::PackageConfig;
 use dtm_floorplan::Floorplan;
 use std::fmt;
@@ -638,7 +638,6 @@ impl TransientSolver {
                 &self.model.g_amb,
                 self.model.ambient,
                 self.model.n_blocks,
-                PowerMap::Direct,
                 dt,
             ) {
                 Ok(p) => self.prop = Some(p),

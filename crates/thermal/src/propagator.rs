@@ -19,11 +19,9 @@
 //! Two structural reductions make the per-step kernel smaller than a
 //! naive `n×n` pair of products:
 //!
-//! 1. Power is injected only at the `k` power-input sites (floorplan
-//!    blocks), and reaches network nodes through a fixed sparse map
-//!    `W` (identity for the block model; the block→cell area-overlap
-//!    weights for the grid model). `F·W` is folded at build time into
-//!    an `n×k` matrix.
+//! 1. Power is injected only at the `k` power-input sites, the
+//!    floorplan blocks, which are the network's first `k` nodes. Only
+//!    `F`'s first `k` columns (`F_k`, an `n×k` matrix) are kept.
 //! 2. The ambient drive `g_amb·T_amb` is constant, so `F·p_amb` is
 //!    folded into a per-row bias.
 //!
@@ -31,7 +29,7 @@
 //! `[T | p_blocks]` (see [`crate::linalg::affine_matvec`]):
 //!
 //! ```text
-//!   T ← [E | F·W]·[T | p] + F·p_amb
+//!   T ← [E | F_k]·[T | p] + F·p_amb
 //! ```
 //!
 //! **Fallback conditions.** Construction fails — and the owning solver
@@ -67,23 +65,13 @@ pub enum SolverBackend {
     BackwardEuler,
 }
 
-/// How the `k` power inputs reach network nodes.
-pub(crate) enum PowerMap<'a> {
-    /// Input `i` injects into node `i` (block model: blocks are the
-    /// first `k` nodes).
-    Direct,
-    /// Input `i` injects into the listed `(node, fraction)` pairs
-    /// (grid model: area-overlap weights).
-    Weighted(&'a [Vec<(usize, f64)>]),
-}
-
 /// Precomputed exact one-step propagator for one `dt`.
 #[derive(Debug, Clone)]
 pub(crate) struct Propagator {
     n: usize,
     n_inputs: usize,
     dt: f64,
-    /// Row-major `n × (n + n_inputs)`; row `i` is `[E_i | (F·W)_i]`.
+    /// Row-major `n × (n + n_inputs)`; row `i` is `[E_i | (F_k)_i]`.
     rows: Vec<f64>,
     /// `F·p_amb`: the constant ambient drive per step.
     bias: Vec<f64>,
@@ -118,7 +106,6 @@ fn content_key(
     g_amb: &[f64],
     ambient: f64,
     n_inputs: usize,
-    map: &PowerMap<'_>,
     dt: f64,
 ) -> u128 {
     let mut bytes: Vec<u8> = Vec::with_capacity((a.as_slice().len() + cap.len()) * 8 + 64);
@@ -135,19 +122,6 @@ fn content_key(
     }
     for &v in g_amb {
         push(v);
-    }
-    match map {
-        PowerMap::Direct => push(f64::from_bits(1)),
-        PowerMap::Weighted(weights) => {
-            push(f64::from_bits(2));
-            for w in weights.iter() {
-                push(w.len() as f64);
-                for &(node, frac) in w {
-                    push(node as f64);
-                    push(frac);
-                }
-            }
-        }
     }
     let fnv = |seed: u64, data: &[u8]| {
         data.iter().fold(seed, |h, &b| {
@@ -174,14 +148,13 @@ impl Propagator {
         g_amb: &[f64],
         ambient: f64,
         n_inputs: usize,
-        map: PowerMap<'_>,
         dt: f64,
     ) -> Result<Arc<Propagator>, LinalgError> {
-        let key = content_key(a, cap, g_amb, ambient, n_inputs, &map, dt);
+        let key = content_key(a, cap, g_amb, ambient, n_inputs, dt);
         if let Some((_, p)) = cache().lock().unwrap().iter().find(|(k, _)| *k == key) {
             return Ok(Arc::clone(p));
         }
-        let built = Arc::new(Propagator::new(a, cap, g_amb, ambient, n_inputs, map, dt)?);
+        let built = Arc::new(Propagator::new(a, cap, g_amb, ambient, n_inputs, dt)?);
         let mut guard = cache().lock().unwrap();
         // A racing builder may have inserted the same key; keep theirs
         // (the contents are identical by construction).
@@ -196,14 +169,14 @@ impl Propagator {
     }
 
     /// Builds `E`/`F` for the system `C·dT/dt = p − A·T` at step `dt`,
-    /// with `n_inputs` power inputs mapped onto nodes by `map`.
+    /// with `n_inputs` power inputs injected into the first `n_inputs`
+    /// nodes.
     pub(crate) fn new(
         a: &Matrix,
         cap: &[f64],
         g_amb: &[f64],
         ambient: f64,
         n_inputs: usize,
-        map: PowerMap<'_>,
         dt: f64,
     ) -> Result<Propagator, LinalgError> {
         let n = a.rows();
@@ -233,21 +206,11 @@ impl Propagator {
         let p_amb: Vec<f64> = g_amb.iter().map(|g| g * ambient).collect();
         let bias = f.mul_vec(&p_amb);
 
+        debug_assert!(n_inputs <= n);
         let mut rows = Vec::with_capacity(n * (n + n_inputs));
         for i in 0..n {
             rows.extend_from_slice(&e.as_slice()[i * n..(i + 1) * n]);
-            match &map {
-                PowerMap::Direct => {
-                    debug_assert!(n_inputs <= n);
-                    rows.extend_from_slice(&f.as_slice()[i * n..i * n + n_inputs]);
-                }
-                PowerMap::Weighted(weights) => {
-                    debug_assert_eq!(weights.len(), n_inputs);
-                    for w in weights.iter() {
-                        rows.push(w.iter().map(|&(node, frac)| frac * f[(i, node)]).sum());
-                    }
-                }
-            }
+            rows.extend_from_slice(&f.as_slice()[i * n..i * n + n_inputs]);
         }
         if rows.iter().any(|v| !v.is_finite()) || bias.iter().any(|v| !v.is_finite()) {
             return Err(LinalgError::Singular);
@@ -350,7 +313,7 @@ mod tests {
         let (a, cap, g_amb) = two_node();
         let ambient = 45.0;
         let p_in = [0.8];
-        let prop = Propagator::new(&a, &cap, &g_amb, ambient, 1, PowerMap::Direct, 1e-3).unwrap();
+        let prop = Propagator::new(&a, &cap, &g_amb, ambient, 1, 1e-3).unwrap();
         // Steady state of A·T = p + g_amb·T_amb.
         let rhs = vec![p_in[0] + g_amb[0] * ambient, g_amb[1] * ambient];
         let steady = a.solve(&rhs).unwrap();
@@ -374,7 +337,7 @@ mod tests {
         let ambient = 45.0;
         let p = [1.2];
         let dt = 4e-3;
-        let prop = Propagator::new(&a, &cap, &g_amb, ambient, 1, PowerMap::Direct, dt).unwrap();
+        let prop = Propagator::new(&a, &cap, &g_amb, ambient, 1, dt).unwrap();
         let t_inf = ambient + p[0] / g;
         let mut temps = vec![ambient];
         let (mut xbuf, mut out) = (Vec::new(), Vec::new());
@@ -390,46 +353,16 @@ mod tests {
     }
 
     #[test]
-    fn weighted_map_folds_input_distribution() {
-        let (a, cap, g_amb) = two_node();
-        let ambient = 45.0;
-        let dt = 2e-3;
-        // One input split 30/70 over the two nodes must equal driving
-        // the Direct two-input propagator with the split vector.
-        let weights = vec![vec![(0, 0.3), (1, 0.7)]];
-        let folded = Propagator::new(
-            &a,
-            &cap,
-            &g_amb,
-            ambient,
-            1,
-            PowerMap::Weighted(&weights),
-            dt,
-        )
-        .unwrap();
-        let direct = Propagator::new(&a, &cap, &g_amb, ambient, 2, PowerMap::Direct, dt).unwrap();
-        let (mut t1, mut t2) = (vec![50.0, 47.0], vec![50.0, 47.0]);
-        let (mut xbuf, mut out) = (Vec::new(), Vec::new());
-        for _ in 0..5 {
-            folded.advance(&mut t1, &[2.0], &mut xbuf, &mut out);
-            direct.advance(&mut t2, &[0.6, 1.4], &mut xbuf, &mut out);
-        }
-        for (x, y) in t1.iter().zip(&t2) {
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
-    }
-
-    #[test]
     fn shared_cache_returns_the_same_instance_for_identical_inputs() {
         let (a, cap, g_amb) = two_node();
-        let p1 = Propagator::shared(&a, &cap, &g_amb, 45.0, 1, PowerMap::Direct, 1e-3).unwrap();
-        let p2 = Propagator::shared(&a, &cap, &g_amb, 45.0, 1, PowerMap::Direct, 1e-3).unwrap();
+        let p1 = Propagator::shared(&a, &cap, &g_amb, 45.0, 1, 1e-3).unwrap();
+        let p2 = Propagator::shared(&a, &cap, &g_amb, 45.0, 1, 1e-3).unwrap();
         assert!(Arc::ptr_eq(&p1, &p2), "identical inputs must share");
         // Any numeric difference — here dt — must miss the cache.
-        let p3 = Propagator::shared(&a, &cap, &g_amb, 45.0, 1, PowerMap::Direct, 2e-3).unwrap();
+        let p3 = Propagator::shared(&a, &cap, &g_amb, 45.0, 1, 2e-3).unwrap();
         assert!(!Arc::ptr_eq(&p1, &p3), "different dt must not share");
         // The shared instance behaves exactly like a fresh build.
-        let fresh = Propagator::new(&a, &cap, &g_amb, 45.0, 1, PowerMap::Direct, 1e-3).unwrap();
+        let fresh = Propagator::new(&a, &cap, &g_amb, 45.0, 1, 1e-3).unwrap();
         let (mut ta, mut tb) = (vec![50.0, 47.0], vec![50.0, 47.0]);
         let (mut xbuf, mut out) = (Vec::new(), Vec::new());
         p1.advance(&mut ta, &[0.8], &mut xbuf, &mut out);
@@ -447,15 +380,7 @@ mod tests {
         a[(0, 1)] = -g01;
         a[(1, 0)] = -g01;
         a[(1, 1)] = g01;
-        let err = Propagator::new(
-            &a,
-            &[0.01, 0.05],
-            &[0.0, 0.0],
-            45.0,
-            1,
-            PowerMap::Direct,
-            1e-3,
-        );
+        let err = Propagator::new(&a, &[0.01, 0.05], &[0.0, 0.0], 45.0, 1, 1e-3);
         assert!(err.is_err());
     }
 }

@@ -1,13 +1,15 @@
-//! Power-vector validation parity: every stepping path refuses a
-//! non-physical power vector with the same [`ThermalError`] — the
-//! first bad index and its value, spelled as an in-order scan would —
-//! and a refused lockstep batch leaves every lane exactly as it was.
-//! `-0.0` is non-negative and must still be accepted.
+//! Power-vector validation parity: every path that takes a power
+//! vector (the lumped solver's scalar step, its lockstep batch and the
+//! grid model's steady-state solve) refuses a non-physical one with the
+//! same [`ThermalError`] — the first bad index and its value, spelled
+//! as an in-order scan would — and a refused step or lockstep batch
+//! leaves every lane exactly as it was. `-0.0` is non-negative and must
+//! still be accepted.
 
 use dtm_floorplan::Floorplan;
 use dtm_thermal::{
-    step_grid_batch, step_lumped_batch, BatchWorkspace, GridConfig, GridThermalModel,
-    GridTransient, PackageConfig, ThermalError, ThermalModel, TransientSolver,
+    step_lumped_batch, BatchWorkspace, GridConfig, GridThermalModel, PackageConfig, ThermalError,
+    ThermalModel, TransientSolver,
 };
 
 const DT: f64 = 27.78e-6;
@@ -20,18 +22,13 @@ fn lumped() -> TransientSolver {
     s
 }
 
-fn grid() -> GridTransient {
-    let fp = Floorplan::ppc_cmp(1);
-    let model = GridThermalModel::new(
-        &fp,
+fn grid() -> GridThermalModel {
+    GridThermalModel::new(
+        &Floorplan::ppc_cmp(1),
         &PackageConfig::default(),
         GridConfig { cols: 6, rows: 8 },
     )
-    .unwrap();
-    let mut s = GridTransient::new(model, 7e-6);
-    s.init_steady(&vec![0.4; fp.len()]).unwrap();
-    s.prewarm(DT).unwrap();
-    s
+    .unwrap()
 }
 
 /// Every bad value at the first, a middle and the last index of an
@@ -72,11 +69,8 @@ fn scalar_steps_name_the_first_bad_entry() {
         assert_eq!((s.node_temps().to_vec(), s.fast_excess().to_vec()), before);
     }
     let g = grid();
-    let n = g.model().n_blocks();
-    for (p, want) in bad_vectors(n) {
-        let mut s = g.clone();
-        assert_eq!(s.step(&p, DT), Err(want), "grid step");
-        assert_eq!(s.temps().cells(), g.temps().cells());
+    for (p, want) in bad_vectors(g.n_blocks()) {
+        assert_eq!(g.steady_state(&p).err(), Some(want), "grid steady state");
     }
 }
 
@@ -104,23 +98,6 @@ fn refused_batches_report_the_scalar_error_and_touch_nothing() {
             assert_eq!(s.fast_excess(), &b.1[..], "lane {l} fast mode");
         }
     }
-
-    let g = grid();
-    let n = g.model().n_blocks();
-    let good: Vec<f64> = vec![0.5; n];
-    for (p, want) in bad_vectors(n) {
-        let mut solvers = [g.clone(), g.clone()];
-        let mut lanes: Vec<(&mut GridTransient, &[f64])> = solvers
-            .iter_mut()
-            .zip([&good, &p])
-            .map(|(s, p)| (s, p.as_slice()))
-            .collect();
-        let mut ws = BatchWorkspace::new();
-        assert_eq!(step_grid_batch(&mut lanes, DT, &mut ws), Err(want));
-        for s in &solvers {
-            assert_eq!(s.temps().cells(), g.temps().cells());
-        }
-    }
 }
 
 #[test]
@@ -140,14 +117,6 @@ fn negative_zero_power_is_accepted_everywhere() {
     }
 
     let g = grid();
-    let zeros = vec![-0.0; g.model().n_blocks()];
-    let mut scalar = g.clone();
-    scalar.step(&zeros, DT).expect("-0.0 is non-negative");
-    let mut solvers = [g.clone(), g.clone()];
-    let mut lanes: Vec<(&mut GridTransient, &[f64])> =
-        solvers.iter_mut().map(|s| (s, zeros.as_slice())).collect();
-    assert_eq!(step_grid_batch(&mut lanes, DT, &mut ws), Ok(true));
-    for s in &solvers {
-        assert_eq!(s.temps().cells(), scalar.temps().cells());
-    }
+    let zeros = vec![-0.0; g.n_blocks()];
+    g.steady_state(&zeros).expect("-0.0 is non-negative");
 }

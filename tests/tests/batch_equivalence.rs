@@ -12,8 +12,8 @@
 //!    batched width (2, 3, 8 — including ragged final batches), over a
 //!    sweep mixing policies, fault scenarios, solver backends, and
 //!    durations (lanes retire mid-batch) in the same lane group;
-//! 2. solver-level lockstep equality for the lumped *and* grid models
-//!    at every lane count around the [`LANE_BLOCK`] boundary;
+//! 2. solver-level lockstep equality for the lumped model at every
+//!    lane count around the [`LANE_BLOCK`] boundary;
 //! 3. byte-identical `results/cache/` contents between lane widths.
 
 use dtm_core::{
@@ -25,8 +25,7 @@ use dtm_harness::codec::result_to_json;
 use dtm_harness::{ConfigVariant, ResultCache, SweepRunner, SweepSpec};
 use dtm_thermal::linalg::LANE_BLOCK;
 use dtm_thermal::{
-    step_grid_batch, step_lumped_batch, BatchWorkspace, GridConfig, GridThermalModel,
-    GridTransient, PackageConfig, ThermalModel, TransientSolver,
+    step_lumped_batch, BatchWorkspace, PackageConfig, ThermalModel, TransientSolver,
 };
 use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
 use std::path::PathBuf;
@@ -107,8 +106,7 @@ fn every_lane_width_replays_the_scalar_sweep_byte_for_byte() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Solver-level lockstep equality, lumped and grid, around the
-//    LANE_BLOCK boundary.
+// 2. Solver-level lockstep equality around the LANE_BLOCK boundary.
 // ---------------------------------------------------------------------
 
 const DT: f64 = 100_000.0 / 3.6e9;
@@ -169,54 +167,6 @@ fn lumped_lockstep_matches_scalar_at_every_lane_count() {
                         x.to_bits(),
                         y.to_bits(),
                         "lanes={lanes} lane={l} step={step} block={i}: {x} != {y}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn grid_lockstep_matches_scalar_including_ragged_blocks() {
-    let fp = Floorplan::ppc_cmp(4);
-    let pkg = PackageConfig::default();
-    let model = GridThermalModel::new(&fp, &pkg, GridConfig { cols: 6, rows: 8 }).unwrap();
-    let n = model.n_blocks();
-
-    for lanes in [2usize, 5, LANE_BLOCK] {
-        let mk = |lane: usize| {
-            let mut s = GridTransient::new(model.clone(), 7e-6);
-            s.init_steady(&lane_power(n, lane, 0)).unwrap();
-            s.prewarm(DT).unwrap();
-            assert!(!s.in_fallback());
-            s
-        };
-        let mut scalar: Vec<GridTransient> = (0..lanes).map(mk).collect();
-        let mut batched: Vec<GridTransient> = (0..lanes).map(mk).collect();
-        let mut ws = BatchWorkspace::new();
-
-        for step in 0..25 {
-            let powers: Vec<Vec<f64>> = (0..lanes).map(|l| lane_power(n, l, step)).collect();
-            for (s, p) in scalar.iter_mut().zip(&powers) {
-                s.step(p, DT).unwrap();
-            }
-            let mut lane_refs: Vec<(&mut GridTransient, &[f64])> = batched
-                .iter_mut()
-                .zip(&powers)
-                .map(|(s, p)| (s, p.as_slice()))
-                .collect();
-            let took_batch = step_grid_batch(&mut lane_refs, DT, &mut ws).unwrap();
-            assert!(
-                took_batch,
-                "lanes={lanes}: shared grid propagators must batch"
-            );
-            for (l, (a, b)) in scalar.iter().zip(&batched).enumerate() {
-                let (ta, tb) = (a.temps(), b.temps());
-                for (i, (x, y)) in ta.cells().iter().zip(tb.cells()).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "lanes={lanes} lane={l} step={step} cell={i}: {x} != {y}"
                     );
                 }
             }
