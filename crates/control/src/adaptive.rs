@@ -65,8 +65,8 @@ pub const SELFTUNE_SETTLE_TOL: f64 = 0.25;
 pub const MIN_WINDOW_STEPS: u64 = 8;
 
 /// Which gain schedule a run uses. `Fixed` (the default) selects the
-/// plain [`ClippedPi`] path and is spelled nowhere in cache keys or
-/// wire requests, so every pre-existing artifact stays valid.
+/// plain [`ClippedPi`] path. Every schedule, `Fixed` included, is
+/// spelled out in a cell's cache key and in a `simulate` request.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum GainScheduleConfig {
     /// Fixed gains — the paper's controller, bit-identical to PR-8-era
@@ -123,31 +123,33 @@ impl GainScheduleConfig {
 
     /// Validates schedule parameters.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-finite or out-of-range parameters.
-    pub fn validate(&self) {
+    /// Describes the first non-finite or out-of-range parameter.
+    pub fn validate(&self) -> Result<(), String> {
         match *self {
-            GainScheduleConfig::Fixed => {}
+            GainScheduleConfig::Fixed => Ok(()),
             GainScheduleConfig::Rao { alpha, tau_s } => {
-                assert!(
-                    alpha.is_finite() && (0.0..=MULT_MAX).contains(&alpha),
-                    "rao alpha must be finite in [0, {MULT_MAX}]"
-                );
-                assert!(
-                    tau_s.is_finite() && tau_s >= 0.0,
-                    "rao tau_s must be finite and non-negative"
-                );
+                if !(0.0..=MULT_MAX).contains(&alpha) {
+                    Err(format!(
+                        "rao alpha {alpha} must be finite in [0, {MULT_MAX}]"
+                    ))
+                } else if !(tau_s.is_finite() && tau_s >= 0.0) {
+                    Err(format!("rao tau_s {tau_s} must be finite and non-negative"))
+                } else {
+                    Ok(())
+                }
             }
             GainScheduleConfig::SelfTuning { rate, window_s } => {
-                assert!(
-                    rate.is_finite() && (0.0..1.0).contains(&rate),
-                    "selftune rate must be finite in [0, 1)"
-                );
-                assert!(
-                    window_s.is_finite() && window_s > 0.0,
-                    "selftune window_s must be finite and positive"
-                );
+                if !(0.0..1.0).contains(&rate) {
+                    Err(format!("selftune rate {rate} must be finite in [0, 1)"))
+                } else if !(window_s.is_finite() && window_s > 0.0) {
+                    Err(format!(
+                        "selftune window_s {window_s} must be finite and positive"
+                    ))
+                } else {
+                    Ok(())
+                }
             }
         }
     }
@@ -345,7 +347,9 @@ impl AdaptivePi {
             base.kp.is_finite() && base.ki.is_finite() && base.dt.is_finite() && base.dt > 0.0,
             "gains must be finite and period positive"
         );
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let schedule: Box<dyn GainSchedule + Send> = match config {
             GainScheduleConfig::Fixed => Box::new(FixedSchedule),
             GainScheduleConfig::Rao { alpha, tau_s } => {
@@ -685,7 +689,8 @@ mod tests {
             alpha: -1.0,
             tau_s: 1e-3,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 
     #[test]
@@ -695,6 +700,7 @@ mod tests {
             rate: 1.0,
             window_s: 1e-3,
         }
-        .validate();
+        .validate()
+        .unwrap();
     }
 }

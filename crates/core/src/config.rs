@@ -1,6 +1,7 @@
 //! Simulation and DTM configuration (Table 3's global and DVFS/migration
 //! parameter blocks).
 
+use crate::engine::SimError;
 use dtm_control::GainScheduleConfig;
 use dtm_microarch::CoreConfig;
 use dtm_thermal::{PackageConfig, SensorSpec, SolverBackend};
@@ -13,7 +14,7 @@ pub const PAPER_PI_KP: f64 = 0.0107;
 pub const PAPER_PI_KI: f64 = 248.5;
 
 /// Dynamic-thermal-management parameters.
-#[derive(Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DtmConfig {
     /// Thermal emergency threshold (°C); no sensor may exceed this.
     pub threshold: f64,
@@ -43,10 +44,9 @@ pub struct DtmConfig {
     /// tuned).
     pub pi_ki: f64,
     /// Online gain schedule for the DVFS PI controller. `Fixed` (the
-    /// default) selects the paper's fixed-gain controller and keeps
-    /// every pre-adaptive cache key; adaptive schedules rescale the
-    /// gains from the observed temperature trajectory (see
-    /// `dtm_control::adaptive`).
+    /// default) selects the paper's fixed-gain controller; adaptive
+    /// schedules rescale the gains from the observed temperature
+    /// trajectory (see `dtm_control::adaptive`).
     pub gain_schedule: GainScheduleConfig,
 }
 
@@ -70,49 +70,7 @@ impl Default for DtmConfig {
     }
 }
 
-/// The result cache addresses cells by the `Debug` spelling of their
-/// configs, so this impl *is* cache-key format: it reproduces the
-/// pre-PR-8 derived output exactly and appends the PI-gain fields only
-/// when they differ from the paper constants. Paper-gain configs
-/// therefore keep every cache entry written before the gains became
-/// tunable (the same discipline `FaultConfig` uses for the ideal
-/// scenario). Pinned by `debug_repr_is_cache_key_stable`.
-impl std::fmt::Debug for DtmConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut d = f.debug_struct("DtmConfig");
-        d.field("threshold", &self.threshold)
-            .field("stopgo_trip_margin", &self.stopgo_trip_margin)
-            .field("stopgo_stall", &self.stopgo_stall)
-            .field("dvfs_setpoint_margin", &self.dvfs_setpoint_margin)
-            .field("dvfs_min_scale", &self.dvfs_min_scale)
-            .field("dvfs_min_transition", &self.dvfs_min_transition)
-            .field("dvfs_transition_penalty", &self.dvfs_transition_penalty)
-            .field("migration_penalty", &self.migration_penalty)
-            .field("os_tick", &self.os_tick)
-            .field("migration_interval", &self.migration_interval);
-        if self.has_tuned_gains() {
-            d.field("pi_kp", &self.pi_kp).field("pi_ki", &self.pi_ki);
-        }
-        if self.has_adaptive_schedule() {
-            d.field("gain_schedule", &self.gain_schedule);
-        }
-        d.finish()
-    }
-}
-
 impl DtmConfig {
-    /// Whether the PI gains differ from the paper's constants (and so
-    /// must appear in the cache-key `Debug` repr).
-    pub fn has_tuned_gains(&self) -> bool {
-        self.pi_kp != PAPER_PI_KP || self.pi_ki != PAPER_PI_KI
-    }
-
-    /// Whether a non-default (adaptive) gain schedule is selected (and
-    /// so must appear in the cache-key `Debug` repr).
-    pub fn has_adaptive_schedule(&self) -> bool {
-        !self.gain_schedule.is_fixed()
-    }
-
     /// DVFS temperature setpoint (°C).
     pub fn dvfs_setpoint(&self) -> f64 {
         self.threshold - self.dvfs_setpoint_margin
@@ -140,34 +98,41 @@ impl DtmConfig {
 
     /// Validates parameter sanity.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-positive durations or out-of-range scales.
-    pub fn validate(&self) {
-        assert!(self.threshold > 0.0, "threshold must be positive");
-        assert!(self.stopgo_stall > 0.0, "stall must be positive");
-        assert!(
-            self.dvfs_min_scale > 0.0 && self.dvfs_min_scale < 1.0,
-            "min scale must be in (0,1)"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.dvfs_min_transition),
-            "min transition must be in [0,1)"
-        );
-        assert!(self.os_tick > 0.0, "OS tick must be positive");
-        assert!(
-            self.migration_interval >= self.os_tick,
-            "migration interval must be at least one OS tick"
-        );
-        assert!(
-            self.pi_kp.is_finite() && self.pi_kp > 0.0,
-            "PI proportional gain must be finite and positive"
-        );
-        assert!(
-            self.pi_ki.is_finite() && self.pi_ki > 0.0,
-            "PI integral gain must be finite and positive"
-        );
-        self.gain_schedule.validate();
+    /// Returns [`SimError::BadInput`] describing the first non-positive
+    /// duration, out-of-range scale, non-finite gain or invalid gain
+    /// schedule.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let checks = [
+            (self.threshold > 0.0, "threshold must be positive"),
+            (self.stopgo_stall > 0.0, "stall must be positive"),
+            (
+                self.dvfs_min_scale > 0.0 && self.dvfs_min_scale < 1.0,
+                "min scale must be in (0,1)",
+            ),
+            (
+                (0.0..1.0).contains(&self.dvfs_min_transition),
+                "min transition must be in [0,1)",
+            ),
+            (self.os_tick > 0.0, "OS tick must be positive"),
+            (
+                self.migration_interval >= self.os_tick,
+                "migration interval must be at least one OS tick",
+            ),
+            (
+                self.pi_kp.is_finite() && self.pi_kp > 0.0,
+                "PI proportional gain must be finite and positive",
+            ),
+            (
+                self.pi_ki.is_finite() && self.pi_ki > 0.0,
+                "PI integral gain must be finite and positive",
+            ),
+        ];
+        if let Some((_, msg)) = checks.iter().find(|(ok, _)| !ok) {
+            return Err(SimError::BadInput((*msg).to_string()));
+        }
+        self.gain_schedule.validate().map_err(SimError::BadInput)
     }
 }
 
@@ -278,7 +243,7 @@ mod tests {
         assert!((d.dvfs_transition_penalty - 10e-6).abs() < 1e-18);
         assert!((d.migration_penalty - 100e-6).abs() < 1e-18);
         assert!((d.migration_interval - 10e-3).abs() < 1e-12);
-        d.validate();
+        d.validate().unwrap();
     }
 
     #[test]
@@ -293,7 +258,7 @@ mod tests {
     fn unconstrained_never_trips() {
         let d = DtmConfig::unconstrained();
         assert!(d.stopgo_trip() == f64::INFINITY);
-        d.validate();
+        d.validate().unwrap();
     }
 
     #[test]
@@ -310,7 +275,7 @@ mod tests {
             dvfs_min_scale: 1.5,
             ..DtmConfig::default()
         };
-        d.validate();
+        d.validate().unwrap();
     }
 
     #[test]
@@ -318,7 +283,7 @@ mod tests {
     fn migration_interval_must_cover_tick() {
         let mut d = DtmConfig::default();
         d.migration_interval = d.os_tick / 2.0;
-        d.validate();
+        d.validate().unwrap();
     }
 
     #[test]
@@ -328,51 +293,47 @@ mod tests {
             pi_kp: f64::NAN,
             ..DtmConfig::default()
         };
-        d.validate();
+        d.validate().unwrap();
     }
 
-    /// The harness addresses cache cells by `format!("{dtm:?}")`, so the
-    /// paper-gain `Debug` output must stay byte-identical to the derived
-    /// repr that PR 6/7 hashed. If this string changes, every cached
-    /// result silently rotates.
+    /// The harness addresses cache cells by `format!("{dtm:?}")`, so
+    /// this derived spelling is part of every cache key. If it changes,
+    /// every cached result silently rotates.
     #[test]
     fn debug_repr_is_cache_key_stable() {
-        let legacy = "DtmConfig { threshold: 84.2, stopgo_trip_margin: 0.2, \
+        let pinned = "DtmConfig { threshold: 84.2, stopgo_trip_margin: 0.2, \
              stopgo_stall: 0.03, dvfs_setpoint_margin: 2.4, dvfs_min_scale: 0.2, \
              dvfs_min_transition: 0.02, dvfs_transition_penalty: 1e-5, \
-             migration_penalty: 0.0001, os_tick: 0.001, migration_interval: 0.01 }";
-        assert_eq!(format!("{:?}", DtmConfig::default()), legacy);
-        assert!(!DtmConfig::default().has_tuned_gains());
-        assert!(!DtmConfig::with_threshold(100.0).has_tuned_gains());
+             migration_penalty: 0.0001, os_tick: 0.001, migration_interval: 0.01, \
+             pi_kp: 0.0107, pi_ki: 248.5, gain_schedule: Fixed }";
+        assert_eq!(format!("{:?}", DtmConfig::default()), pinned);
 
-        // Tuned gains must change the repr (distinct cache addresses).
+        // Tuned gains change the repr (distinct cache addresses).
         let tuned = DtmConfig {
             pi_kp: 0.02,
             ..DtmConfig::default()
         };
-        assert!(tuned.has_tuned_gains());
-        let repr = format!("{tuned:?}");
-        assert!(repr.starts_with(&legacy[..legacy.len() - 2]));
-        assert!(repr.contains("pi_kp: 0.02"));
-        assert!(repr.contains("pi_ki: 248.5"));
+        assert_eq!(
+            format!("{tuned:?}"),
+            pinned.replace("pi_kp: 0.0107", "pi_kp: 0.02")
+        );
     }
 
-    /// Same discipline for the gain schedule: the default (fixed)
-    /// schedule is spelled nowhere, so fixed-gain cache keys are
-    /// byte-identical to pre-adaptive builds; adaptive schedules
-    /// append and therefore rekey.
+    /// An explicitly fixed schedule is the default config; an adaptive
+    /// one is spelled with its parameters and so rekeys.
     #[test]
     fn adaptive_schedule_rekeys_but_fixed_does_not() {
-        let fixed = DtmConfig::default();
-        assert!(!fixed.has_adaptive_schedule());
-        assert!(!format!("{fixed:?}").contains("gain_schedule"));
+        let fixed = DtmConfig {
+            gain_schedule: GainScheduleConfig::Fixed,
+            ..DtmConfig::default()
+        };
+        assert_eq!(format!("{fixed:?}"), format!("{:?}", DtmConfig::default()));
 
         let adaptive = DtmConfig {
             gain_schedule: GainScheduleConfig::rao_default(),
             ..DtmConfig::default()
         };
-        assert!(adaptive.has_adaptive_schedule());
-        adaptive.validate();
+        adaptive.validate().unwrap();
         let repr = format!("{adaptive:?}");
         assert!(repr.contains("gain_schedule: Rao { alpha: 1.0, tau_s: 0.002 }"));
         assert_ne!(repr, format!("{fixed:?}"));
@@ -388,6 +349,6 @@ mod tests {
             },
             ..DtmConfig::default()
         };
-        d.validate();
+        d.validate().unwrap();
     }
 }

@@ -298,19 +298,21 @@ impl ThermalTimingSim {
     ///
     /// # Errors
     ///
-    /// Fails if the chip has no cores, if the duration or the thermal
-    /// substep is not finite and positive, if a leakage density or
-    /// `beta` is negative or not finite or `t_ref` is not finite, if the
-    /// thread count does not match the core count (this study pins one
-    /// thread per core), if traces disagree on sample period, or if the
-    /// thermal model cannot be constructed.
+    /// Fails if `dtm` does not validate, if the chip has no cores, if
+    /// the duration or the thermal substep is not finite and positive,
+    /// if a leakage density or `beta` is negative or not finite or
+    /// `t_ref` is not finite, if the sensor noise or quantization step
+    /// is negative or not finite or the sensor offset is not finite, if
+    /// the thread count does not match the core count (this study pins
+    /// one thread per core), if traces disagree on sample period, or if
+    /// the thermal model cannot be constructed.
     pub fn new(
         cfg: SimConfig,
         dtm: DtmConfig,
         policy: PolicySpec,
         traces: Vec<Arc<PowerTrace>>,
     ) -> Result<Self, SimError> {
-        dtm.validate();
+        dtm.validate()?;
         if cfg.cores == 0 {
             return Err(SimError::BadInput("a chip needs at least one core".into()));
         }
@@ -326,23 +328,26 @@ impl ThermalTimingSim {
                 cfg.thermal_substep
             )));
         }
-        let leak = &cfg.leakage;
-        for (name, value) in [
-            ("logic_density", leak.logic_density),
-            ("sram_density", leak.sram_density),
-            ("beta", leak.beta),
+        let (leak, sensor) = (&cfg.leakage, &cfg.sensor);
+        for (name, value, non_negative) in [
+            ("leakage logic_density", leak.logic_density, true),
+            ("leakage sram_density", leak.sram_density, true),
+            ("leakage beta", leak.beta, true),
+            ("leakage t_ref", leak.t_ref, false),
+            ("sensor noise_std", sensor.noise_std, true),
+            ("sensor quantization", sensor.quantization, true),
+            ("sensor offset", sensor.offset, false),
         ] {
-            if !(value.is_finite() && value >= 0.0) {
+            if !(value.is_finite() && (value >= 0.0 || !non_negative)) {
+                let sign = if non_negative {
+                    " and non-negative"
+                } else {
+                    ""
+                };
                 return Err(SimError::BadInput(format!(
-                    "leakage {name} {value} is not finite and non-negative"
+                    "{name} {value} is not finite{sign}"
                 )));
             }
-        }
-        if !leak.t_ref.is_finite() {
-            return Err(SimError::BadInput(format!(
-                "leakage t_ref {} is not finite",
-                leak.t_ref
-            )));
         }
         if traces.len() != cfg.cores {
             return Err(SimError::BadInput(format!(
@@ -1242,7 +1247,7 @@ impl ThermalTimingSim {
     /// Effective-gain bounds and adaptation count aggregated across
     /// the run's DVFS controllers (`None` on the fixed-gain path).
     fn gain_stats(&self) -> Option<crate::metrics::GainStats> {
-        if !self.dtm.has_adaptive_schedule() {
+        if self.dtm.gain_schedule.is_fixed() {
             return None;
         }
         let mut m_lo = f64::INFINITY;
@@ -1447,6 +1452,42 @@ mod tests {
             let err = build_with(|c| c.leakage.t_ref = v);
             assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
         }
+    }
+
+    #[test]
+    fn negative_or_non_finite_sensor_noise_is_rejected() {
+        for v in [-0.5, f64::NAN, f64::INFINITY] {
+            let err = build_with(|c| c.sensor.noise_std = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn negative_or_non_finite_sensor_quantization_is_rejected() {
+        for v in [-0.25, f64::NAN, f64::INFINITY] {
+            let err = build_with(|c| c.sensor.quantization = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_sensor_offset_is_rejected() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let err = build_with(|c| c.sensor.offset = v);
+            assert!(matches!(err, Err(SimError::BadInput(_))), "{v}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_dtm_config_is_an_error_not_a_panic() {
+        let dtm = DtmConfig {
+            dvfs_min_scale: 1.5,
+            ..DtmConfig::default()
+        };
+        let traces = vec![cool(), cool(), cool(), cool()];
+        let err =
+            ThermalTimingSim::new(SimConfig::fast_test(), dtm, PolicySpec::baseline(), traces);
+        assert!(matches!(err, Err(SimError::BadInput(_))), "{err:?}");
     }
 
     /// A change to the fast-test chip's configuration.

@@ -1,29 +1,27 @@
 //! [`RemoteBackend`]: a [`dtm_harness::Backend`] that executes a
 //! sweep's missed cells on a fleet of `dtm-serve` workers.
 //!
-//! The determinism argument, end to end: a cell is only eligible for
-//! remote dispatch when its wire request — encoded, decoded, and
-//! resolved against the worker's advertised base configuration —
-//! lands on the **same content address** the local runner computed
-//! for that cell ([`request_for_cell`]). The handshake pins the
-//! worker's version, base `SimConfig`, and trace-generation config;
-//! the response echoes the key, which is re-checked on receipt; and
-//! any duplicate completion (speculation, late stragglers) is
-//! byte-compared against the first. A distributed sweep therefore
-//! either produces results bit-identical to a single-process run or
-//! fails loudly — never silently diverges.
+//! The determinism argument, end to end: a cell's wire request carries
+//! its whole `DtmConfig` and `FaultConfig` through a codec that
+//! round-trips every field bit for bit, and a cell is only eligible
+//! for remote dispatch when its `SimConfig` is the fleet's base with
+//! at most the duration, core count and seed changed
+//! ([`request_for_cell`]). The handshake pins the worker's version,
+//! base `SimConfig`, and trace-generation config; the response echoes
+//! the key, which is re-checked on receipt; and any duplicate
+//! completion (speculation, late stragglers) is byte-compared against
+//! the first. A distributed sweep therefore either produces results
+//! bit-identical to a single-process run or fails loudly — never
+//! silently diverges.
 
 use crate::dispatch::{Completion, DispatchConfig, DispatchState, RemoteNext, Scheduler};
 use crate::summary::DispatchSummary;
 use crate::worker::{Health, Worker, WorkerPool};
-use dtm_core::{DtmConfig, GainScheduleConfig, RunResult, SimConfig, SimError};
-use dtm_harness::cache::cell_key;
+use dtm_core::{RunResult, SimConfig, SimError};
 use dtm_harness::cli::SweepArgs;
 use dtm_harness::codec::result_to_json;
-use dtm_harness::json::Json;
 use dtm_harness::{Backend, BackendCtx, CellOutcome, LocalExec};
 use dtm_serve::protocol::{Request, Response, ResultSource, SimResponse};
-use dtm_serve::request::FAULT_PRESETS;
 use dtm_serve::{Client, ServerInfo, SimRequest};
 use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -122,131 +120,45 @@ pub fn validate_workers(workers: &[String]) -> Result<(), SimError> {
 }
 
 /// Maps sweep cell `i` (an index into `ctx.cells`) to the wire request
-/// that reproduces it exactly, or `None` when the cell cannot be
-/// expressed remotely (a config outside the protocol's vocabulary).
+/// that reproduces it exactly, or `None` when the cell must run
+/// locally.
 ///
-/// The proof obligation is discharged mechanically: the candidate
-/// request is JSON round-tripped and resolved exactly as the server
-/// will resolve it, and accepted only if the resulting cell's content
-/// address equals the coordinator's key for cell `i`. Key equality is
-/// the determinism guarantee — both sides will run (and cache) the
-/// same simulation.
+/// The request carries the cell's whole `DtmConfig` and `FaultConfig`,
+/// so only its `SimConfig` can fall outside the wire: it must be the
+/// fleet's base with at most the duration, core count and seed
+/// changed. A cell the server's bounds reject (checked here by the
+/// same `resolve` the server runs) also runs locally.
 pub fn request_for_cell(
     ctx: &BackendCtx<'_>,
     i: usize,
     expected_base: &SimConfig,
 ) -> Option<SimRequest> {
     let cell = ctx.cells[i];
-    let workload = &ctx.spec.workload_axis()[cell.workload];
-    let policy = ctx.spec.policy_axis()[cell.policy];
     let variant = &ctx.spec.variant_axis()[cell.variant];
-
-    // Structural pre-check: the variant's sim must be the server's
-    // base with only the wire-expressible overrides applied.
+    let sim = &variant.sim;
     let mut probe = expected_base.clone();
-    probe.duration = variant.sim.duration;
-    probe.cores = variant.sim.cores;
-    probe.seed = variant.sim.seed;
-    if probe != variant.sim {
+    probe.duration = sim.duration;
+    probe.cores = sim.cores;
+    probe.seed = sim.seed;
+    if probe != *sim {
         return None;
     }
-    // Likewise the variant's dtm: the default with only wire-expressible
-    // knobs (threshold + the exploration knobs) changed. Knobs outside
-    // the protocol's vocabulary (min scale, transition penalties, ...)
-    // force local execution.
-    let d = &variant.dtm;
-    let dtm_probe = DtmConfig {
-        threshold: d.threshold,
-        pi_kp: d.pi_kp,
-        pi_ki: d.pi_ki,
-        dvfs_setpoint_margin: d.dvfs_setpoint_margin,
-        stopgo_trip_margin: d.stopgo_trip_margin,
-        stopgo_stall: d.stopgo_stall,
-        migration_interval: d.migration_interval,
-        os_tick: d.os_tick,
-        gain_schedule: d.gain_schedule,
-        ..DtmConfig::default()
+    let req = SimRequest {
+        workload: None,
+        benchmarks: ctx.spec.workload_axis()[cell.workload]
+            .resolve()
+            .into_iter()
+            .map(|b| b.name)
+            .collect(),
+        policy: ctx.spec.policy_axis()[cell.policy].wire_name(),
+        duration_s: Some(sim.duration),
+        cores: Some(sim.cores),
+        seed: Some(sim.seed),
+        deadline_ms: None,
+        dtm: Some(variant.dtm),
+        faults: Some(variant.faults.clone()),
     };
-    if dtm_probe != *d {
-        return None;
-    }
-    // Adaptive gain schedules ride the wire as the schedule name plus
-    // both adaptation parameters spelled out exactly (no
-    // default-elision: the f64s must round-trip bit-identically for
-    // the key check below to accept).
-    let (schedule, adapt_rate, adapt_window_s) = match d.gain_schedule {
-        GainScheduleConfig::Fixed => (None, None, None),
-        GainScheduleConfig::Rao { alpha, tau_s } => {
-            (Some("rao".to_string()), Some(alpha), Some(tau_s))
-        }
-        GainScheduleConfig::SelfTuning { rate, window_s } => {
-            (Some("selftune".to_string()), Some(rate), Some(window_s))
-        }
-    };
-    // Overrides ride the wire only when they differ from the default, so
-    // pre-knob configs produce the exact requests (and server-side memo
-    // keys) they produced before the knobs existed. Out-of-range values
-    // are not filtered here: the server-identical `resolve` below
-    // rejects them, which falls through to `None` → local execution.
-    let def = DtmConfig::default();
-    let over = |cur: f64, default: f64| if cur != default { Some(cur) } else { None };
-    let threshold_c = over(d.threshold, def.threshold);
-
-    let benchmarks: Vec<String> = workload.resolve().into_iter().map(|b| b.name).collect();
-    let fault_candidates: Vec<Option<String>> = if variant.faults.is_ideal() {
-        vec![None]
-    } else {
-        FAULT_PRESETS
-            .iter()
-            .skip(1) // "none" is the ideal case above
-            .map(|s| Some((*s).to_string()))
-            .collect()
-    };
-
-    let version = env!("CARGO_PKG_VERSION");
-    for fault in fault_candidates {
-        let req = SimRequest {
-            workload: None,
-            benchmarks: benchmarks.clone(),
-            policy: policy.wire_name(),
-            duration_s: Some(variant.sim.duration),
-            cores: Some(variant.sim.cores),
-            threshold_c,
-            seed: Some(variant.sim.seed),
-            fault,
-            deadline_ms: None,
-            pi_kp: over(d.pi_kp, def.pi_kp),
-            pi_ki: over(d.pi_ki, def.pi_ki),
-            setpoint_margin_c: over(d.dvfs_setpoint_margin, def.dvfs_setpoint_margin),
-            trip_margin_c: over(d.stopgo_trip_margin, def.stopgo_trip_margin),
-            stall_s: over(d.stopgo_stall, def.stopgo_stall),
-            migration_interval_s: over(d.migration_interval, def.migration_interval),
-            os_tick_s: over(d.os_tick, def.os_tick),
-            schedule: schedule.clone(),
-            adapt_rate,
-            adapt_window_s,
-        };
-        let wire = Json::Obj(req.to_fields());
-        let Ok(decoded) = SimRequest::from_json(&wire) else {
-            continue;
-        };
-        let Ok(resolved) = decoded.resolve(expected_base) else {
-            continue;
-        };
-        let key = cell_key(
-            &resolved.workload,
-            resolved.policy,
-            &resolved.variant.sim,
-            &resolved.variant.dtm,
-            &resolved.variant.faults,
-            ctx.lib.config(),
-            version,
-        );
-        if key == ctx.keys[i] {
-            return Some(req);
-        }
-    }
-    None
+    req.resolve(expected_base).is_ok().then_some(req)
 }
 
 /// Canonical result bytes for duplicate reconciliation: the same JSON
@@ -825,8 +737,11 @@ impl Backend for RemoteBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dtm_core::{DtmConfig, FaultConfig, FaultScenario, PolicySpec, SimConfig, WatchdogConfig};
-    use dtm_harness::cache::{cell_keys, CellKey};
+    use dtm_core::{
+        DtmConfig, FaultConfig, FaultEvent, FaultKind, FaultScenario, FaultTarget,
+        GainScheduleConfig, PolicySpec, SimConfig, WatchdogConfig,
+    };
+    use dtm_harness::cache::{cell_key, cell_keys, CellKey};
     use dtm_harness::{ConfigVariant, SweepSpec};
     use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
     use std::sync::Arc;
@@ -875,6 +790,35 @@ mod tests {
         }
     }
 
+    /// The key the server computes for `req`: the frame encoded,
+    /// decoded and resolved exactly as a worker does.
+    fn server_key(fx: &Fixture, req: &SimRequest, base: &SimConfig) -> CellKey {
+        let Ok(Request::Simulate(decoded)) =
+            Request::decode(&Request::Simulate(Box::new(req.clone())).encode())
+        else {
+            panic!("request decodes");
+        };
+        let r = decoded.resolve(base).expect("request resolves");
+        let v = &r.variant;
+        cell_key(
+            &r.workload,
+            r.policy,
+            &v.sim,
+            &v.dtm,
+            &v.faults,
+            fx.lib.config(),
+            env!("CARGO_PKG_VERSION"),
+        )
+    }
+
+    /// The request for the fixture's only cell, checked to land on the
+    /// coordinator's key.
+    fn key_checked_request(fx: &Fixture, base: &SimConfig) -> SimRequest {
+        let req = request_for_cell(&fx.ctx(), 0, base).expect("expressible");
+        assert_eq!(server_key(fx, &req, base), fx.keys[0]);
+        req
+    }
+
     #[test]
     fn base_config_cell_is_expressible_and_key_checked() {
         let sim = SimConfig::fast_test();
@@ -883,29 +827,40 @@ mod tests {
             sim.clone(),
             DtmConfig::default(),
         ));
-        let ctx = fx.ctx();
-        let req = request_for_cell(&ctx, 0, &sim).expect("expressible");
+        let req = key_checked_request(&fx, &sim);
         assert_eq!(req.benchmarks, vec!["gzip", "mcf", "gzip", "mcf"]);
-        assert!(req.fault.is_none());
-        assert!(req.threshold_c.is_none());
+        assert_eq!(req.dtm, Some(DtmConfig::default()));
+        assert_eq!(req.faults, Some(FaultConfig::ideal()));
         assert_eq!(req.duration_s, Some(sim.duration));
     }
 
     #[test]
-    fn threshold_and_fault_variants_map_to_wire_presets() {
+    fn threshold_and_fault_variants_ride_the_wire_whole() {
         let sim = SimConfig::fast_test();
-        let faults = FaultConfig::protected(
+        let preset = FaultConfig::protected(
             FaultScenario::stuck_sensor("stuck-hot", 0, 0, 150.0, sim.duration * 0.2),
             WatchdogConfig::enabled(),
         );
-        let fx = fixture(
-            ConfigVariant::new("hot", sim.clone(), DtmConfig::with_threshold(90.0))
-                .with_faults(faults),
-        );
-        let ctx = fx.ctx();
-        let req = request_for_cell(&ctx, 0, &sim).expect("expressible");
-        assert_eq!(req.fault.as_deref(), Some("stuck-hot+watchdog"));
-        assert_eq!(req.threshold_c, Some(90.0));
+        let custom = FaultConfig::unprotected(FaultScenario::new(
+            "custom",
+            vec![
+                FaultEvent {
+                    start: 0.002,
+                    end: 0.006,
+                    target: FaultTarget::Sensor { core: 1, index: 0 },
+                    kind: FaultKind::SensorDrift { rate: -40.0 },
+                },
+                FaultEvent::permanent(0.004, FaultTarget::Core { core: 2 }, FaultKind::DvfsStuck),
+            ],
+        ));
+        for faults in [preset, custom] {
+            let dtm = DtmConfig::with_threshold(90.0);
+            let fx =
+                fixture(ConfigVariant::new("hot", sim.clone(), dtm).with_faults(faults.clone()));
+            let req = key_checked_request(&fx, &sim);
+            assert_eq!(req.faults, Some(faults));
+            assert_eq!(req.dtm, Some(dtm));
+        }
     }
 
     #[test]
@@ -915,75 +870,47 @@ mod tests {
             pi_kp: 0.02,
             dvfs_setpoint_margin: 1.2,
             migration_interval: 0.05,
+            dvfs_min_scale: 0.5,
             ..DtmConfig::default()
         };
         let fx = fixture(ConfigVariant::new("tuned", sim.clone(), dtm));
-        let ctx = fx.ctx();
-        let req = request_for_cell(&ctx, 0, &sim).expect("expressible");
-        assert_eq!(req.pi_kp, Some(0.02));
-        assert_eq!(req.setpoint_margin_c, Some(1.2));
-        assert_eq!(req.migration_interval_s, Some(0.05));
-        // Paper-default knobs stay off the wire entirely.
-        assert!(req.pi_ki.is_none());
-        assert!(req.trip_margin_c.is_none());
-        assert!(req.stall_s.is_none());
-        assert!(req.os_tick_s.is_none());
-        assert!(req.threshold_c.is_none());
+        assert_eq!(key_checked_request(&fx, &sim).dtm, Some(dtm));
     }
 
     #[test]
     fn adaptive_schedule_variants_are_expressible_and_key_checked() {
         let sim = SimConfig::fast_test();
-        for (schedule, wire) in [
-            (GainScheduleConfig::rao_default(), "rao"),
-            (
-                GainScheduleConfig::SelfTuning {
-                    rate: 0.3,
-                    window_s: 0.004,
-                },
-                "selftune",
-            ),
+        for schedule in [
+            GainScheduleConfig::Fixed,
+            GainScheduleConfig::rao_default(),
+            GainScheduleConfig::SelfTuning {
+                rate: 0.3,
+                window_s: 0.004,
+            },
         ] {
             let dtm = DtmConfig {
                 gain_schedule: schedule,
                 ..DtmConfig::default()
             };
             let fx = fixture(ConfigVariant::new("adaptive", sim.clone(), dtm));
-            let ctx = fx.ctx();
-            let req = request_for_cell(&ctx, 0, &sim).expect("expressible");
-            assert_eq!(req.schedule.as_deref(), Some(wire));
-            assert!(req.adapt_rate.is_some() && req.adapt_window_s.is_some());
+            assert_eq!(key_checked_request(&fx, &sim).dtm, Some(dtm));
         }
-        // Fixed-gain cells keep the pre-adaptive wire spelling.
-        let fx = fixture(ConfigVariant::new(
-            "base",
-            sim.clone(),
-            DtmConfig::default(),
-        ));
-        let ctx = fx.ctx();
-        let req = request_for_cell(&ctx, 0, &sim).expect("expressible");
-        assert!(req.schedule.is_none());
-        assert!(req.adapt_rate.is_none() && req.adapt_window_s.is_none());
     }
 
     #[test]
-    fn off_vocabulary_dtm_fields_are_inexpressible() {
-        // min-scale has no wire spelling; out-of-range knob values are
-        // rejected by the server-identical resolve.
+    fn out_of_bounds_dtm_values_are_inexpressible() {
+        // The server-identical resolve rejects values beyond the wire's
+        // bounds, so the cell runs locally.
         let sim = SimConfig::fast_test();
         for dtm in [
             DtmConfig {
-                dvfs_min_scale: 0.5,
+                pi_kp: 99.0,
                 ..DtmConfig::default()
             },
-            DtmConfig {
-                pi_kp: 99.0, // beyond the wire's accepted range
-                ..DtmConfig::default()
-            },
+            DtmConfig::unconstrained(),
         ] {
             let fx = fixture(ConfigVariant::new("odd", sim.clone(), dtm));
-            let ctx = fx.ctx();
-            assert!(request_for_cell(&ctx, 0, &sim).is_none());
+            assert!(request_for_cell(&fx.ctx(), 0, &sim).is_none());
         }
     }
 

@@ -12,11 +12,13 @@
 //! policy table and the dispatch summary, and reports wall-clock time
 //! (the number the scaling measurement in `EXPERIMENTS.md` quotes).
 //!
-//! `--smoke` is the self-check CI runs: a small fast-config grid is
-//! executed twice — locally and distributed — into separate throwaway
-//! caches and ledgers, then compared. Results must be bit-identical
-//! and ledger rows identical modulo timing fields; any divergence
-//! exits non-zero. The dispatch summary is written to
+//! `--smoke` is the self-check CI runs: a small fast-config grid, one
+//! of whose variants carries a custom two-event fault schedule and a
+//! raised DVFS floor, is executed twice — locally and distributed —
+//! into separate throwaway caches and ledgers, then compared. Results
+//! must be bit-identical, ledger rows identical modulo timing fields,
+//! and no cell may be inexpressible on the wire; any failure exits
+//! non-zero. The dispatch summary is written to
 //! `results/DIST_summary.json`.
 
 use dtm_core::{PolicySpec, SimConfig, SimError};
@@ -24,7 +26,7 @@ use dtm_dist::{DistConfig, RemoteBackend};
 use dtm_harness::codec::result_to_json;
 use dtm_harness::json::Json;
 use dtm_harness::{Ledger, ResultCache, SweepResults, SweepRunner, SweepSpec};
-use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
+use dtm_workloads::{TraceGenConfig, TraceLibrary};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -231,19 +233,7 @@ fn sorted_normalized_ledger(path: &PathBuf) -> Vec<String> {
 
 fn smoke(args: &Args) {
     let (base_sim, tracegen) = fleet_config(args);
-    let spec = || {
-        SweepSpec::new(vec![
-            Workload::new("wa", ["gzip", "mcf", "gzip", "mcf"]),
-            Workload::new("wb", ["mesa", "eon", "mesa", "eon"]),
-            Workload::new("wc", ["art", "swim", "art", "swim"]),
-        ])
-        .variant(dtm_harness::ConfigVariant::new(
-            "smoke",
-            base_sim.clone(),
-            dtm_core::DtmConfig::default(),
-        ))
-        .policies([PolicySpec::baseline(), PolicySpec::best()])
-    };
+    let spec = || dtm_dist::smoke_spec(&base_sim);
 
     let scratch = std::env::temp_dir().join(format!("dtm-dist-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);
@@ -305,6 +295,11 @@ fn smoke(args: &Args) {
     if la != lb {
         failures += 1;
         eprintln!("dtm_dist: FAIL — ledgers diverge (modulo ts/wall_s/queue_s/worker)");
+    }
+    let inexpressible = summary.as_ref().map_or(0, |s| s.counts.inexpressible);
+    if inexpressible > 0 {
+        failures += 1;
+        eprintln!("dtm_dist: FAIL — {inexpressible} cell(s) could not be sent to a worker");
     }
     if la.len() != local.outcomes().len() || lb.len() != dist.outcomes().len() {
         failures += 1;

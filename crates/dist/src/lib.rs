@@ -16,9 +16,10 @@
 //!   ordinary [`dtm_harness::SweepRunner`] drives it — cache pass,
 //!   ledger, and progress reporting stay byte-for-byte the shared
 //!   code paths.
-//! - [`request_for_cell`] proves each cell's wire request faithful by
-//!   round-tripping it and requiring content-address equality; cells
-//!   outside the protocol vocabulary run locally instead.
+//! - [`request_for_cell`] builds each cell's wire request, whole
+//!   `DtmConfig` and `FaultConfig` included; a cell whose `SimConfig`
+//!   differs from the fleet's base beyond duration, cores and seed, or
+//!   that the server's bounds reject, runs locally instead.
 //! - The handshake ([`dtm_serve::ServerInfo`] via extended `ping`)
 //!   refuses workers whose version, base config, or trace generation
 //!   differs from the coordinator's.
@@ -49,9 +50,13 @@ pub use dispatch::{Completion, DispatchConfig, DispatchCounts, DispatchState, Sc
 pub use summary::{DispatchSummary, WorkerRow};
 pub use worker::{Health, Worker, WorkerPool, WorkerStats};
 
-use dtm_core::{SimConfig, SimError};
+use dtm_core::{
+    DtmConfig, FaultConfig, FaultEvent, FaultKind, FaultScenario, FaultTarget, PolicySpec,
+    SimConfig, SimError,
+};
 use dtm_harness::cli::SweepArgs;
-use dtm_harness::{SweepResults, SweepRunner, SweepSpec};
+use dtm_harness::{ConfigVariant, SweepResults, SweepRunner, SweepSpec};
+use dtm_workloads::Workload;
 use std::sync::Arc;
 
 /// Like [`dtm_harness::run_standard`], but routing execution through
@@ -82,4 +87,35 @@ pub fn run_with_args(spec: SweepSpec, args: &SweepArgs) -> Result<SweepResults, 
         eprintln!("{}", summary.render());
     }
     Ok(results)
+}
+
+/// The grid `dtm_dist --smoke` runs on `base`: three workloads × the
+/// baseline and best policies × two variants. The second carries a
+/// custom two-event fault schedule (a drift plus a permanent stuck DVFS
+/// level) under a raised DVFS floor, configs the wire carries whole.
+pub fn smoke_spec(base: &SimConfig) -> SweepSpec {
+    let drift = FaultEvent {
+        start: 0.002,
+        end: 0.006,
+        target: FaultTarget::Sensor { core: 1, index: 0 },
+        kind: FaultKind::SensorDrift { rate: -40.0 },
+    };
+    let stuck = FaultEvent::permanent(0.004, FaultTarget::Core { core: 2 }, FaultKind::DvfsStuck);
+    let faults = FaultConfig::unprotected(FaultScenario::new("custom", vec![drift, stuck]));
+    let floor = DtmConfig {
+        dvfs_min_scale: 0.5,
+        ..DtmConfig::default()
+    };
+    SweepSpec::new(vec![
+        Workload::new("wa", ["gzip", "mcf", "gzip", "mcf"]),
+        Workload::new("wb", ["mesa", "eon", "mesa", "eon"]),
+        Workload::new("wc", ["art", "swim", "art", "swim"]),
+    ])
+    .variant(ConfigVariant::new(
+        "smoke",
+        base.clone(),
+        DtmConfig::default(),
+    ))
+    .add_variant(ConfigVariant::new("custom-faults", base.clone(), floor).with_faults(faults))
+    .policies([PolicySpec::baseline(), PolicySpec::best()])
 }

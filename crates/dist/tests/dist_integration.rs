@@ -7,7 +7,7 @@
 use dtm_core::{DtmConfig, PolicySpec, SimConfig, SimError};
 use dtm_dist::{DistConfig, RemoteBackend};
 use dtm_harness::json::Json;
-use dtm_harness::{ConfigVariant, Ledger, ResultCache, SweepRunner, SweepSpec};
+use dtm_harness::{ConfigVariant, Ledger, ResultCache, SweepResults, SweepRunner, SweepSpec};
 use dtm_serve::{Server, ServerConfig};
 use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
 use std::collections::BTreeMap;
@@ -118,18 +118,60 @@ fn normalized_ledger(path: &Path) -> Vec<String> {
     rows
 }
 
+/// Runs `spec` into `dir`'s `{tag}-cache` and `{tag}-ledger.jsonl`,
+/// through `backend` when one is given.
+fn run_into(
+    dir: &Path,
+    tag: &str,
+    spec: SweepSpec,
+    backend: Option<Arc<RemoteBackend>>,
+) -> SweepResults {
+    let mut runner = SweepRunner::bare(fast_lib())
+        .with_workers(4)
+        .with_cache(Some(ResultCache::new(dir.join(format!("{tag}-cache")))))
+        .with_ledger(Some(Ledger::open(dir.join(format!("{tag}-ledger.jsonl")))));
+    if let Some(b) = backend {
+        runner = runner.with_backend(b as Arc<_>);
+    }
+    runner
+        .run(spec)
+        .unwrap_or_else(|e| panic!("{tag} sweep: {e:?}"))
+}
+
+/// Asserts the `dist` run in `dir` equals the `local` one: results
+/// and keys cell by cell, cache bytes, and the ledger modulo timing
+/// and placement fields.
+fn assert_identical_runs(dir: &Path, local: &SweepResults, dist: &SweepResults) {
+    for (a, b) in local.outcomes().iter().zip(dist.outcomes()) {
+        assert_eq!(a.index, b.index, "cell order preserved");
+        assert_eq!(a.key, b.key, "content address diverged");
+        assert_eq!(a.result, b.result, "cell {:?} diverged", a.index);
+        assert_eq!(
+            a.result.duty_cycle.to_bits(),
+            b.result.duty_cycle.to_bits(),
+            "bit-level divergence in cell {:?}",
+            a.index
+        );
+    }
+    let ca = cache_contents(&dir.join("local-cache"));
+    assert_eq!(ca.len(), local.outcomes().len());
+    assert_eq!(
+        ca,
+        cache_contents(&dir.join("dist-cache")),
+        "cache bytes differ"
+    );
+    let la = normalized_ledger(&dir.join("local-ledger.jsonl"));
+    assert_eq!(la.len(), local.outcomes().len(), "one ledger row per cell");
+    let lb = normalized_ledger(&dir.join("dist-ledger.jsonl"));
+    assert_eq!(la, lb, "ledgers diverge beyond timing fields");
+}
+
 #[test]
 fn distributed_sweep_is_bit_identical_and_survives_worker_death() {
     let dir = scratch("headline");
 
     // Local baseline into its own cache and ledger.
-    let local_ledger = dir.join("local-ledger.jsonl");
-    let local = SweepRunner::bare(fast_lib())
-        .with_workers(4)
-        .with_cache(Some(ResultCache::new(dir.join("local-cache"))))
-        .with_ledger(Some(Ledger::open(&local_ledger)))
-        .run(grid())
-        .expect("local baseline");
+    let local = run_into(&dir, "local", grid(), None);
     assert_eq!(local.executed(), 12);
 
     // Three real worker processes; one will be killed mid-sweep.
@@ -150,13 +192,7 @@ fn distributed_sweep_is_bit_identical_and_survives_worker_death() {
         let _ = victim.wait();
     });
 
-    let dist_ledger = dir.join("dist-ledger.jsonl");
-    let dist = SweepRunner::bare(fast_lib())
-        .with_backend(backend.clone() as Arc<_>)
-        .with_cache(Some(ResultCache::new(dir.join("dist-cache"))))
-        .with_ledger(Some(Ledger::open(&dist_ledger)))
-        .run(grid())
-        .expect("distributed sweep completes despite a killed worker");
+    let dist = run_into(&dir, "dist", grid(), Some(backend.clone()));
     killer.join().unwrap();
     let _ = w1.kill();
     let _ = w2.kill();
@@ -167,40 +203,7 @@ fn distributed_sweep_is_bit_identical_and_survives_worker_death() {
     assert_eq!(dist.executed(), 12);
     assert_eq!(dist.cache_hits(), 0);
 
-    // Bit-identical results, cell by cell.
-    for (a, b) in local.outcomes().iter().zip(dist.outcomes()) {
-        assert_eq!(a.index, b.index, "cell order preserved");
-        assert_eq!(a.result, b.result, "cell {:?} diverged", a.index);
-        assert_eq!(
-            a.result.duty_cycle.to_bits(),
-            b.result.duty_cycle.to_bits(),
-            "bit-level divergence in cell {:?}",
-            a.index
-        );
-        assert_eq!(a.key, b.key, "content address diverged");
-    }
-
-    // Bit-identical cache contents.
-    let ca = cache_contents(&dir.join("local-cache"));
-    let cb = cache_contents(&dir.join("dist-cache"));
-    assert_eq!(
-        ca.keys().collect::<Vec<_>>(),
-        cb.keys().collect::<Vec<_>>(),
-        "cache entry sets differ"
-    );
-    for (name, bytes) in &ca {
-        assert_eq!(bytes, &cb[name], "cache entry {name} differs");
-    }
-
-    // Ledger parity modulo timing/placement fields.
-    let la = normalized_ledger(&local_ledger);
-    let lb = normalized_ledger(&dist_ledger);
-    assert_eq!(
-        la.len(),
-        12,
-        "one ledger row per cell, never double-appended"
-    );
-    assert_eq!(la, lb, "ledgers diverge beyond timing fields");
+    assert_identical_runs(&dir, &local, &dist);
 
     // The dispatch summary saw the death: a killed worker plus
     // retried/re-dispatched work.
@@ -211,6 +214,36 @@ fn distributed_sweep_is_bit_identical_and_survives_worker_death() {
         "all cells accounted for: {summary:?}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn custom_fault_cells_run_remotely_and_stay_identical() {
+    // The CI smoke grid: half its cells carry a custom two-event fault
+    // schedule and a raised DVFS floor.
+    let dir = scratch("custom");
+    let spec = || dtm_dist::smoke_spec(&SimConfig::fast_test());
+    let local = run_into(&dir, "local", spec(), None);
+    assert_eq!(local.executed(), 12);
+
+    let (mut w0, addr0) = spawn_worker(&dir, "w0");
+    let (mut w1, addr1) = spawn_worker(&dir, "w1");
+    let mut cfg = DistConfig::new(vec![addr0, addr1], SimConfig::fast_test());
+    cfg.deadline = Duration::from_secs(60);
+    let backend = Arc::new(RemoteBackend::new(cfg));
+    let dist = run_into(&dir, "dist", spec(), Some(backend.clone()));
+    for w in [&mut w0, &mut w1] {
+        let _ = w.kill();
+        let _ = w.wait();
+    }
+
+    // Every cell went over the wire, none ran locally.
+    let summary = backend.take_summary().expect("summary recorded");
+    assert_eq!(summary.counts.inexpressible, 0, "{summary:?}");
+    assert_eq!(summary.remote_cells, 12, "{summary:?}");
+    assert_eq!(summary.local_cells + summary.fallback_cells, 0);
+
+    assert_identical_runs(&dir, &local, &dist);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -381,9 +381,8 @@ mod tests {
         };
         let dtm = s.dtm_for(&p);
         // Snapping must not perturb the Table 3 defaults (they are all
-        // short decimals), so the anchor still hits pre-PR-8 cache keys.
+        // short decimals), so the anchor shares the paper cell's key.
         assert_eq!(dtm, DtmConfig::default());
-        assert!(!dtm.has_tuned_gains());
     }
 
     #[test]
@@ -406,7 +405,7 @@ mod tests {
         t[6] = 1.0;
         let dtm = s.dtm_for(&s.point(0, &t));
         assert!(dtm.migration_interval >= dtm.os_tick);
-        dtm.validate();
+        dtm.validate().unwrap();
     }
 
     fn adaptive_space() -> SearchSpace {
@@ -465,7 +464,7 @@ mod tests {
         assert_eq!(dtm.gain_schedule, GainScheduleConfig::rao_default());
         assert!(a.memo_key(&rao).ends_with("|schedule=rao"));
         assert!(a.memo_key(&rao).contains("|adapt_rate="));
-        dtm.validate();
+        dtm.validate().unwrap();
 
         // Arm 2·np is (SelfTune, policy 0); the rate knob squashes into
         // [0, 1).
@@ -480,11 +479,11 @@ mod tests {
             other => panic!("expected SelfTuning, got {other:?}"),
         }
         assert!(a.memo_key(&st).ends_with("|schedule=selftune"));
-        dtm.validate();
+        dtm.validate().unwrap();
 
         // Every arm across the whole grid yields a valid config.
         for arm in 0..a.arms() {
-            a.dtm_for(&a.point(arm, &t)).validate();
+            a.dtm_for(&a.point(arm, &t)).validate().unwrap();
         }
     }
 

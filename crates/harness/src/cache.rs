@@ -3,7 +3,8 @@
 //! Every sweep cell — one (workload, policy, configuration) simulation
 //! — is addressed by a stable 128-bit hash of its complete inputs:
 //! resolved benchmark names, the policy triple, `SimConfig`,
-//! `DtmConfig`, the trace-generation parameters, and the crate version.
+//! `DtmConfig`, `FaultConfig`, the trace-generation parameters, and the
+//! crate version.
 //! Re-running any experiment skips already-computed cells, and cells
 //! are shared *across* experiments: the Table 5 grid is a subset of the
 //! Table 8 grid, so a Table 8 run leaves Table 5 fully warm.
@@ -18,7 +19,6 @@ use crate::json::Json;
 use crate::sweep::SweepSpec;
 use dtm_core::{Counter, DtmConfig, FaultConfig, ObsHandle, PolicySpec, RunResult, SimConfig};
 use dtm_workloads::{TraceGenConfig, Workload};
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -56,7 +56,7 @@ fn fnv1a64<'a>(seed: u64, bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
 
 /// One config variant's share of a cell-key preimage. The preimage is
 /// `v=…|w=…|p=…` (the cell's head) followed by the variant's tail
-/// `|sim=…|dtm=…|tg=…[|flt=…]`. The low lane hashes it forward; the
+/// `|sim=…|dtm=…|tg=…|flt=…`. The low lane hashes it forward; the
 /// high lane, from another offset basis, hashes it reversed, so it
 /// reads the tail first and one fold over the tail serves every cell
 /// of the variant.
@@ -73,10 +73,7 @@ impl KeyTail {
         faults: &FaultConfig,
         tracegen: &TraceGenConfig,
     ) -> Self {
-        let mut text = format!("|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}");
-        if !faults.is_ideal() {
-            let _ = write!(text, "|flt={faults:?}");
-        }
+        let text = format!("|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}|flt={faults:?}");
         let hi = fnv1a64(0x6c62_272e_07bb_0142, text.as_bytes().iter().rev());
         KeyTail { text, hi }
     }
@@ -97,18 +94,13 @@ impl KeyTail {
 
 /// Computes the content address of one cell.
 ///
-/// The canonical representation leans on `Debug` formatting of the
-/// config structs — the same convention `TraceLibrary::fingerprint`
-/// uses — so *any* field change (threshold, core count, migration
-/// interval, sensor noise, trace length, …) changes the key. The crate
-/// version is folded in so result-affecting code changes can be
-/// invalidated wholesale by a version bump.
-///
-/// The robustness configuration is folded in **only when it is not
-/// ideal**: the ideal `FaultConfig` is behaviorally a no-op, and
-/// omitting it keeps every fault-free cell's address byte-identical to
-/// what it was before the fault subsystem existed — a warm cache stays
-/// warm.
+/// The canonical representation is the derived `Debug` spelling of
+/// every config struct, with no field left out at its default — the
+/// same convention `TraceLibrary::fingerprint` uses — so *any* field
+/// change (threshold, core count, migration interval, sensor noise,
+/// fault schedule, trace length, …) changes the key. The crate version
+/// is folded in so result-affecting code changes can be invalidated
+/// wholesale by a version bump.
 pub fn cell_key(
     workload: &Workload,
     policy: PolicySpec,
@@ -451,28 +443,27 @@ mod tests {
     }
 
     #[test]
-    fn ideal_faults_do_not_perturb_pre_fault_keys() {
-        // Re-derive the key from the pre-fault-subsystem canonical
-        // representation (no `|flt=` segment): the ideal FaultConfig
-        // must hash to exactly this, or every existing cache entry is
-        // silently orphaned.
+    fn preimage_spells_every_config_including_ideal_faults() {
+        // Re-derive the key from the documented preimage: the ideal
+        // FaultConfig is spelled like any other, in the `|flt=` segment.
         let sim = SimConfig::default();
         let dtm = DtmConfig::default();
         let w = &standard_workloads()[0];
         let policy = PolicySpec::baseline();
         let tracegen = TraceGenConfig::default();
+        let faults = FaultConfig::ideal();
         let benches = w.resolve();
-        let repr =
-            format!("v=0.1.0|w={benches:?}|p={policy:?}|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}");
+        let repr = format!(
+            "v=0.1.0|w={benches:?}|p={policy:?}|sim={sim:?}|dtm={dtm:?}|tg={tracegen:?}|flt={faults:?}"
+        );
         let lo = fnv1a64(0xcbf2_9ce4_8422_2325, repr.as_bytes());
         let rev: Vec<u8> = repr.bytes().rev().collect();
         let hi = fnv1a64(0x6c62_272e_07bb_0142, &rev);
-        let legacy = CellKey(((hi as u128) << 64) | lo as u128);
         assert_eq!(
             key_for(&sim, &dtm),
-            legacy,
-            "ideal FaultConfig changed fault-free cell addresses"
+            CellKey(((hi as u128) << 64) | lo as u128)
         );
+        assert!(repr.contains("|flt=FaultConfig { scenario: FaultScenario { name: \"ideal\""));
     }
 
     #[test]

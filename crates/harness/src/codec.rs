@@ -1,11 +1,17 @@
-//! Hand-written JSON codec for [`RunResult`] (the workspace serde is a
-//! marker-trait stub; see `vendor/README.md`). Floats use
-//! shortest-round-trip formatting, so decode(encode(r)) is
-//! bit-identical to `r` — the property the result cache relies on.
+//! Hand-written JSON codecs for [`RunResult`], [`DtmConfig`] and
+//! [`FaultConfig`] (the workspace serde is a marker-trait stub; see
+//! `vendor/README.md`). Floats use shortest-round-trip formatting, so
+//! decode(encode(r)) is bit-identical to `r` — the property the result
+//! cache and the wire rely on.
+//!
+//! The config codecs ([`JsonCodec`]) write every field under its Rust
+//! name and read every field back, rejecting any other.
 
 use crate::json::{Json, JsonError};
 use dtm_core::{
-    GainStats, PhaseNs, PhaseProfile, Robustness, RunResult, SteadyTempSummary, ThreadStats,
+    DtmConfig, FallbackKind, FaultConfig, FaultEvent, FaultKind, FaultScenario, FaultTarget,
+    GainScheduleConfig, GainStats, PhaseNs, PhaseProfile, Robustness, RunResult, SteadyTempSummary,
+    ThreadStats, WatchdogConfig,
 };
 
 /// Encodes a run result as a JSON object.
@@ -70,9 +76,8 @@ pub fn result_to_json(r: &RunResult) -> Json {
             ),
         ),
     ];
-    // Optional fields are appended only when present, mirroring the
-    // robustness discipline: entries written by older builds simply
-    // lack them and decode to `None`.
+    // Optional fields are appended only when present; absent ones
+    // decode to `None`.
     if let Some(s) = &r.steady {
         fields.push((
             "steady".into(),
@@ -139,24 +144,18 @@ pub fn result_from_json(v: &Json) -> Result<RunResult, JsonError> {
             })
         })
         .collect::<Result<Vec<_>, JsonError>>()?;
-    // Entries written before the fault subsystem existed have no
-    // robustness object; they decode to the all-zero default so the
-    // whole pre-existing cache stays loadable (and fault-free cells are
-    // all-zero anyway).
-    let robustness = match v.field("robustness") {
-        Ok(rv) => Robustness {
-            violation_time: rv.field("violation_time")?.as_f64()?,
-            peak_overshoot: rv.field("peak_overshoot")?.as_f64()?,
-            false_throttle_time: rv.field("false_throttle_time")?.as_f64()?,
-            fallback_time: rv.field("fallback_time")?.as_f64()?,
-            fallback_entries: rv.field("fallback_entries")?.as_u64()?,
-            fallback_exits: rv.field("fallback_exits")?.as_u64()?,
-            watchdog_flags: rv.field("watchdog_flags")?.as_u64()?,
-        },
-        Err(_) => Robustness::default(),
+    let rv = v.field("robustness")?;
+    let robustness = Robustness {
+        violation_time: rv.field("violation_time")?.as_f64()?,
+        peak_overshoot: rv.field("peak_overshoot")?.as_f64()?,
+        false_throttle_time: rv.field("false_throttle_time")?.as_f64()?,
+        fallback_time: rv.field("fallback_time")?.as_f64()?,
+        fallback_entries: rv.field("fallback_entries")?.as_u64()?,
+        fallback_exits: rv.field("fallback_exits")?.as_u64()?,
+        watchdog_flags: rv.field("watchdog_flags")?.as_u64()?,
     };
-    // Same back-compat discipline for the observability-era fields:
-    // absent means the entry predates them (or the run was unprofiled).
+    // The optional objects: absent means the run was unprofiled (or,
+    // for `gain_stats`, fixed-gain).
     let steady = match v.field("steady") {
         Ok(sv) => Some(SteadyTempSummary {
             mean: sv.field("mean")?.as_f64()?,
@@ -182,9 +181,6 @@ pub fn result_from_json(v: &Json) -> Result<RunResult, JsonError> {
         }),
         Err(_) => None,
     };
-    // Entries written before the adaptive gain schedule existed (PR 8
-    // and earlier) have no gain_stats object — as do fixed-gain runs on
-    // current builds; both decode to `None`.
     let gain_stats = match v.field("gain_stats") {
         Ok(gv) => Some(GainStats {
             kp_min: gv.field("kp_min")?.as_f64()?,
@@ -213,6 +209,123 @@ pub fn result_from_json(v: &Json) -> Result<RunResult, JsonError> {
         threads,
     })
 }
+
+/// A type with a field-by-field JSON encoding: every struct field
+/// under its Rust name, every enum an object whose `type` names the
+/// variant beside that variant's fields. The decoder requires every
+/// field and rejects any other.
+pub trait JsonCodec: Sized {
+    /// Encodes the value.
+    fn to_json(&self) -> Json;
+
+    /// Decodes [`JsonCodec::to_json`]'s layout.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a missing, unknown or repeated field, an unknown
+    /// variant, or a type mismatch.
+    fn from_json(v: &Json) -> Result<Self, JsonError>;
+}
+
+/// Implements [`JsonCodec`] for a leaf type from its [`Json`]
+/// constructor and accessor.
+macro_rules! leaf_codec {
+    ($($ty:ty: $enc:path, $dec:ident;)*) => {$(
+        impl JsonCodec for $ty {
+            fn to_json(&self) -> Json {
+                $enc(self.to_owned())
+            }
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                v.$dec().map(Into::into)
+            }
+        }
+    )*};
+}
+
+leaf_codec! {
+    f64: Json::f64, as_f64;
+    u64: Json::u64, as_u64;
+    usize: Json::usize, as_usize;
+    bool: Json::Bool, as_bool;
+    String: Json::str, as_str;
+}
+
+impl<T: JsonCodec> JsonCodec for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        v.as_arr()?.iter().map(T::from_json).collect()
+    }
+}
+
+/// Implements [`JsonCodec`] for a struct from its field list. Both
+/// directions name every field without `..`, so a field missing from
+/// the list is a compile error.
+macro_rules! struct_codec {
+    ($ty:ident; $($field:ident),* $(,)?) => {
+        impl JsonCodec for $ty {
+            fn to_json(&self) -> Json {
+                let $ty { $($field),* } = self;
+                Json::Obj(vec![$((stringify!($field).into(), $field.to_json())),*])
+            }
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                let mut o = v.fields()?;
+                let decoded = $ty {
+                    $($field: JsonCodec::from_json(o.req(stringify!($field))?)?),*
+                };
+                o.end()?;
+                Ok(decoded)
+            }
+        }
+    };
+}
+
+/// Implements [`JsonCodec`] for an enum from its variant list; the
+/// encoder's `match` makes a variant missing from the list a compile
+/// error.
+macro_rules! enum_codec {
+    ($ty:ident; $($variant:ident $({ $($field:ident),* })?),* $(,)?) => {
+        impl JsonCodec for $ty {
+            fn to_json(&self) -> Json {
+                match self {
+                    $($ty::$variant $({ $($field),* })? => {
+                        #[allow(unused_mut)]
+                        let mut pairs = vec![("type".to_string(), Json::str(stringify!($variant)))];
+                        $($(pairs.push((stringify!($field).into(), $field.to_json()));)*)?
+                        Json::Obj(pairs)
+                    })*
+                }
+            }
+            fn from_json(v: &Json) -> Result<Self, JsonError> {
+                let mut o = v.fields()?;
+                let decoded = match o.req("type")?.as_str()? {
+                    $(stringify!($variant) => $ty::$variant $({
+                        $($field: JsonCodec::from_json(o.req(stringify!($field))?)?),*
+                    })?,)*
+                    other => {
+                        return Err(JsonError(format!("unknown {} `{other}`", stringify!($ty))))
+                    }
+                };
+                o.end()?;
+                Ok(decoded)
+            }
+        }
+    };
+}
+
+struct_codec!(DtmConfig; threshold, stopgo_trip_margin, stopgo_stall, dvfs_setpoint_margin,
+    dvfs_min_scale, dvfs_min_transition, dvfs_transition_penalty, migration_penalty, os_tick,
+    migration_interval, pi_kp, pi_ki, gain_schedule);
+enum_codec!(GainScheduleConfig; Fixed, Rao { alpha, tau_s }, SelfTuning { rate, window_s });
+struct_codec!(FaultConfig; scenario, watchdog);
+struct_codec!(FaultScenario; name, events);
+struct_codec!(FaultEvent; start, end, target, kind);
+enum_codec!(FaultTarget; Sensor { core, index }, Core { core }, Chip);
+enum_codec!(FaultKind; SensorStuck { value }, SensorDrift { rate }, SensorDropout,
+    SensorSpike { amplitude }, SensorStale { delay }, DvfsStuck, GateIgnored);
+struct_codec!(WatchdogConfig; enabled, max_step, max_deviation, fallback, min_hold);
+enum_codec!(FallbackKind; FreqFloor, StopGoLastGood);
 
 #[cfg(test)]
 mod tests {
@@ -308,21 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_fault_entries_decode_with_default_robustness() {
-        // An entry written before the fault subsystem existed: strip the
-        // robustness object and check the decode still succeeds with the
-        // all-zero default (old cache entries must stay warm).
-        let mut encoded = result_to_json(&sample());
-        if let Json::Obj(fields) = &mut encoded {
-            fields.retain(|(k, _)| k != "robustness");
-        }
-        let back = result_from_json(&Json::parse(&encoded.emit()).unwrap()).unwrap();
-        assert_eq!(back.robustness, Robustness::default());
-        assert_eq!(back.duration, sample().duration);
-        assert_eq!(back.threads.len(), 2);
-    }
-
-    #[test]
     fn pre_observability_entries_decode_without_steady_or_phases() {
         // An entry written before the observability subsystem existed:
         // strip both new objects and check the decode yields `None`s.
@@ -354,8 +452,8 @@ mod tests {
 
     #[test]
     fn pre_adaptive_entries_decode_without_gain_stats() {
-        // An entry written before the gain schedule existed (PR 8 era):
-        // strip the object and check the decode yields `None`.
+        // A fixed-gain result has no gain_stats object: strip it and
+        // check the decode yields `None`.
         let mut encoded = result_to_json(&sample());
         if let Json::Obj(fields) = &mut encoded {
             fields.retain(|(k, _)| k != "gain_stats");

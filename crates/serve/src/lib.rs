@@ -11,9 +11,10 @@
 //!   an alias), `ping`, `shutdown`.
 //! - **Requests** ([`request`]): a [`SimRequest`] names a workload (or
 //!   an explicit benchmark tuple), a policy in wire spelling, optional
-//!   config overrides and a fault preset — and resolves into exactly
-//!   the cell the sweep harness would run, sharing its content address
-//!   and therefore its caches.
+//!   duration, core-count and seed overrides, and optionally the whole
+//!   `DtmConfig` and `FaultConfig` — and resolves into exactly the cell
+//!   the sweep harness would run, sharing its content address and
+//!   therefore its caches.
 //! - **Admission control** ([`queue`]): a bounded queue; a full (or
 //!   draining) queue answers `overloaded` immediately. Memory stays
 //!   bounded at any offered load.

@@ -5,11 +5,10 @@
 //! bytes of UTF-8 JSON. Both directions use the same framing; a
 //! connection carries a strict request → response alternation. The
 //! payload vocabulary is deliberately small — four request verbs, seven
-//! response verbs — and every message is a flat JSON object whose
-//! `verb` field selects the variant, so the protocol stays greppable in
-//! a packet capture and trivially versionable (unknown fields are
-//! ignored, unknown verbs are an explicit error response, not a dead
-//! connection).
+//! response verbs — and every message is a JSON object whose `verb`
+//! field selects the variant, so the protocol stays greppable in a
+//! packet capture. Unknown verbs, and fields a `simulate` request does
+//! not know, are an explicit error response, not a dead connection.
 
 use crate::request::SimRequest;
 use dtm_core::RunResult;
@@ -18,10 +17,10 @@ use dtm_harness::json::Json;
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload, server- and client-side.
-/// A simulate request is a few hundred bytes and a result response a
-/// few KiB; anything near this limit is a corrupt or hostile length
-/// prefix, and rejecting it keeps one connection from ballooning the
-/// server's memory.
+/// A simulate request or a result response is tens of KiB at most;
+/// anything near this limit is a corrupt or hostile length prefix, and
+/// rejecting it keeps one connection from ballooning the server's
+/// memory.
 pub const MAX_FRAME: u32 = 4 * 1024 * 1024;
 
 /// A typed framing violation, carried as the source of the `io::Error`

@@ -40,9 +40,12 @@ impl LeakageModel {
     ///
     /// # Panics
     ///
-    /// Panics if `beta` is negative or any reference power is negative.
+    /// Panics if `beta` is negative or not finite, if `t_ref` is not
+    /// finite, or if any reference power is negative or not finite.
     pub fn new(p_ref: Vec<f64>, t_ref: f64, beta: f64) -> Self {
         assert!(beta >= 0.0, "leakage must not decrease with temperature");
+        assert!(beta.is_finite(), "leakage exponent must be finite");
+        assert!(t_ref.is_finite(), "reference temperature must be finite");
         assert!(
             p_ref.iter().all(|&p| p >= 0.0 && p.is_finite()),
             "reference leakage must be non-negative"
@@ -162,5 +165,17 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_reference_power_is_rejected() {
         LeakageModel::new(vec![-1.0], 45.0, 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "exponent must be finite")]
+    fn infinite_beta_is_rejected() {
+        LeakageModel::new(vec![1.0], 45.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "reference temperature must be finite")]
+    fn non_finite_reference_temperature_is_rejected() {
+        LeakageModel::new(vec![1.0], f64::NAN, 0.02);
     }
 }

