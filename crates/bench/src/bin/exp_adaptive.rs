@@ -23,6 +23,7 @@
 use dtm_core::{DtmConfig, GainScheduleConfig, PolicySpec, SimConfig};
 use dtm_dist::run_with_args;
 use dtm_explore::Score;
+use dtm_harness::codec::JsonCodec;
 use dtm_harness::json::Json;
 use dtm_harness::{ConfigVariant, Ledger, ResultCache, SweepArgs, SweepRunner, SweepSpec, Table};
 use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary, Workload};

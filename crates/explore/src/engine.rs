@@ -15,12 +15,13 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use dtm_core::{PolicySpec, SimError};
+use dtm_harness::codec::JsonCodec;
 use dtm_harness::json::Json;
 use dtm_harness::{SweepRunner, SweepSpec, Table};
 use dtm_obs::ObsHandle;
 use dtm_workloads::Workload;
 
-use crate::journal::{eval_key, Journal};
+use crate::journal::{eval_key, Journal, JournalRow};
 use crate::pareto::{Entry, ParetoFront};
 use crate::score::Score;
 use crate::space::{Point, SearchSpace};
@@ -212,9 +213,14 @@ impl<'a> Explorer<'a> {
                 let variant_name = self.space.memo_key(p);
                 let runs = results.policy_runs_in(&variant_name, policy_spec);
                 let score = Score::of_runs(&runs, self.space.dtm_for(p).threshold);
-                let schedule = self.space.schedules[p.schedule].wire_name();
-                self.journal
-                    .append(self.generation, strategy, schedule, key, *fid, &score);
+                self.journal.append(&JournalRow {
+                    gen: u64::from(self.generation),
+                    strategy: strategy.to_string(),
+                    schedule: self.space.schedules[p.schedule].wire_name().to_string(),
+                    key: key.clone(),
+                    fidelity: *fid,
+                    score,
+                });
                 self.memo.insert(key.clone(), score);
                 self.fresh += 1;
             }

@@ -1,20 +1,10 @@
 //! The exploration journal: one JSONL row per *fresh* evaluation,
 //! appended to `results/explore.jsonl`.
 //!
-//! Schema (one object per line; field order as written):
-//!
-//! ```text
-//! {
-//!   "gen":      engine generation counter when the evaluation ran,
-//!   "strategy": strategy name that asked for it,
-//!   "schedule": gain-schedule wire name ("fixed"/"rao"/"selftune");
-//!               rows written before the adaptive controller existed
-//!               lack the field, which reads as "fixed",
-//!   "key":      point memo key plus "#f<n>" fidelity suffix,
-//!   "fidelity": workload count evaluated (the full set spelled out),
-//!   "score":    {"bips": …, "violation": …, "energy": …, "penalty": …}
-//! }
-//! ```
+//! Each line is one [`JournalRow`] through its codec: every field under
+//! its name, every one required and no other allowed, so a row written
+//! in another layout stops a resume rather than loading half right. The journal is a regenerable artifact: delete it to
+//! start a search afresh.
 //!
 //! Rows are appended only for memo *misses*, so a resumed run that
 //! replays to the same trajectory appends nothing — the journal length
@@ -25,10 +15,31 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
-use dtm_harness::json::{Json, JsonError};
+use dtm_harness::codec::{struct_codec, JsonCodec};
+use dtm_harness::json::Json;
 use dtm_harness::LineAppender;
 
 use crate::score::Score;
+
+/// One fresh evaluation, as journaled.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JournalRow {
+    /// Engine generation counter when the evaluation ran.
+    pub gen: u64,
+    /// Name of the strategy that asked for it.
+    pub strategy: String,
+    /// Gain-schedule wire name (`fixed`, `rao` or `selftune`).
+    pub schedule: String,
+    /// The evaluation key: the point's memo key plus its `#f<n>`
+    /// fidelity suffix (see [`eval_key`]).
+    pub key: String,
+    /// Workloads evaluated (the full set spelled out).
+    pub fidelity: usize,
+    /// The objectives it scored.
+    pub score: Score,
+}
+
+struct_codec!(JournalRow; gen, strategy, schedule, key, fidelity, score);
 
 /// Composes the memo/journal identity of an evaluation: the point's
 /// memo key qualified by the workload count it was scored over.
@@ -55,27 +66,9 @@ impl Journal {
         self.appender.path()
     }
 
-    /// Appends one fresh evaluation. `schedule` is the gain-schedule
-    /// wire name; `"fixed"` rows keep the field for uniformity, and
-    /// loading treats a missing field (pre-adaptive journals) as fixed.
-    pub fn append(
-        &self,
-        gen: u32,
-        strategy: &str,
-        schedule: &str,
-        key: &str,
-        fidelity: usize,
-        score: &Score,
-    ) {
-        let rec = Json::Obj(vec![
-            ("gen".into(), Json::u64(u64::from(gen))),
-            ("strategy".into(), Json::str(strategy)),
-            ("schedule".into(), Json::str(schedule)),
-            ("key".into(), Json::str(key)),
-            ("fidelity".into(), Json::usize(fidelity)),
-            ("score".into(), score.to_json()),
-        ]);
-        self.appender.append_line(&rec.emit());
+    /// Appends one fresh evaluation.
+    pub fn append(&self, row: &JournalRow) {
+        self.appender.append_line(&row.to_json().emit());
     }
 
     /// Loads a journal into a memo table (`eval key → score`),
@@ -99,17 +92,10 @@ impl Journal {
             if line.trim().is_empty() {
                 continue;
             }
-            let row =
-                Json::parse(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
-            let key = row
-                .field("key")
-                .and_then(|k| k.as_str().map(str::to_owned))
-                .map_err(|e| format!("{}:{}: bad key: {e}", path.display(), i + 1))?;
-            let score = row
-                .field("score")
-                .and_then(|s| Score::from_json(s).map_err(JsonError))
-                .map_err(|e| format!("{}:{}: bad score: {e}", path.display(), i + 1))?;
-            memo.insert(key, score);
+            let row = Json::parse(line)
+                .and_then(|v| JournalRow::from_json(&v))
+                .map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
+            memo.insert(row.key, row.score);
         }
         Ok(memo)
     }
@@ -135,9 +121,29 @@ mod tests {
             penalty: 0.0,
         };
         let s2 = Score { bips: 6.5, ..s1 };
-        j.append(0, "lhs-halving", "fixed", "dvfs|pi_kp=0.0107#f1", 1, &s1);
-        j.append(1, "evolve", "rao", "dvfs|pi_kp=0.0107#f4", 4, &s2);
-        j.append(1, "evolve", "fixed", "dvfs|pi_kp=0.0107#f1", 1, &s2);
+        for (gen, strategy, schedule, key, fidelity, score) in [
+            (0, "lhs-halving", "fixed", "dvfs|pi_kp=0.0107#f1", 1, s1),
+            (1, "evolve", "rao", "dvfs|pi_kp=0.0107#f4", 4, s2),
+            (1, "evolve", "fixed", "dvfs|pi_kp=0.0107#f1", 1, s2),
+        ] {
+            j.append(&JournalRow {
+                gen,
+                strategy: strategy.into(),
+                schedule: schedule.into(),
+                key: key.into(),
+                fidelity,
+                score,
+            });
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(
+            text.lines().next().unwrap(),
+            concat!(
+                r#"{"gen":0,"strategy":"lhs-halving","schedule":"fixed","#,
+                r#""key":"dvfs|pi_kp=0.0107#f1","fidelity":1,"#,
+                r#""score":{"bips":5.25,"violation":0.125,"energy":40.5,"penalty":0.0}}"#
+            )
+        );
         let memo = Journal::load(&path).unwrap();
         assert_eq!(memo.len(), 2);
         assert_eq!(memo["dvfs|pi_kp=0.0107#f1"], s2, "later row wins");
@@ -157,28 +163,15 @@ mod tests {
         std::fs::write(&path, "{\"key\": \"a\"}\n").unwrap();
         let err = Journal::load(&path).unwrap_err();
         assert!(err.contains(":1:"), "line-numbered: {err}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn pre_adaptive_rows_load_without_a_schedule_field() {
-        // A verbatim row from a journal written before the adaptive
-        // controller existed: no "schedule" field. It must load (as an
-        // implicitly fixed-gain evaluation) so old journals resume
-        // byte-identically.
-        let path = tmp("preadaptive.jsonl");
-        std::fs::write(
-            &path,
-            "{\"gen\": 0, \"strategy\": \"anchor\", \"key\": \"stopgo|pi_kp=0.0107#f2\", \
-             \"fidelity\": 2, \"score\": {\"bips\": 12.5, \"violation\": 0, \
-             \"energy\": 2.25, \"penalty\": 0}}\n",
-        )
-        .unwrap();
-        let memo = Journal::load(&path).unwrap();
-        assert_eq!(memo.len(), 1);
-        let s = memo["stopgo|pi_kp=0.0107#f2"];
-        assert_eq!(s.bips, 12.5);
-        assert_eq!(s.energy, 2.25);
+        // A whole row with a field the codec does not know is as bad.
+        let good = concat!(
+            r#"{"gen":0,"strategy":"anchor","schedule":"fixed","key":"k#f2","fidelity":2,"#,
+            r#""score":{"bips":12.5,"violation":0.0,"energy":2.25,"penalty":0.0}}"#
+        );
+        let extra = good.replace(r#""fidelity":2,"#, r#""fidelity":2,"lanes":8,"#);
+        std::fs::write(&path, format!("{good}\n{extra}\n")).unwrap();
+        let err = Journal::load(&path).unwrap_err();
+        assert!(err.contains(":2:") && err.contains("lanes"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -45,7 +45,7 @@ pub mod strategy;
 pub use engine::{Anchor, ExploreReport, Explorer, FrontRow, GenSummary};
 pub use evolve::Evolve;
 pub use halving::LhsHalving;
-pub use journal::{eval_key, Journal};
+pub use journal::{eval_key, Journal, JournalRow};
 pub use pareto::{Entry, ParetoFront};
 pub use roster::standard_roster;
 pub use score::Score;

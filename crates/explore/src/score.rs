@@ -8,7 +8,7 @@
 //! journal row replays to the bit.
 
 use dtm_core::RunResult;
-use dtm_harness::json::Json;
+use dtm_harness::codec::struct_codec;
 
 /// The objective vector of one evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +26,8 @@ pub struct Score {
     /// on lies plus time parked in watchdog fallback.
     pub penalty: f64,
 }
+
+struct_codec!(Score; bips, violation, energy, penalty);
 
 impl Score {
     /// Scores a point from its per-workload runs, against the thermal
@@ -86,40 +88,13 @@ impl Score {
     pub fn scalar(&self) -> f64 {
         self.bips - 50.0 * self.violation - 0.02 * self.energy - 10.0 * self.penalty
     }
-
-    /// Journal encoding (field order fixed).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("bips".into(), Json::f64(self.bips)),
-            ("violation".into(), Json::f64(self.violation)),
-            ("energy".into(), Json::f64(self.energy)),
-            ("penalty".into(), Json::f64(self.penalty)),
-        ])
-    }
-
-    /// Journal decoding.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<Score, String> {
-        let f = |name: &str| -> Result<f64, String> {
-            v.field(name)
-                .and_then(|x| x.as_f64())
-                .map_err(|e| format!("bad score field `{name}`: {e}"))
-        };
-        Ok(Score {
-            bips: f("bips")?,
-            violation: f("violation")?,
-            energy: f("energy")?,
-            penalty: f("penalty")?,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtm_harness::codec::JsonCodec;
+    use dtm_harness::json::Json;
 
     fn s(bips: f64, violation: f64, energy: f64, penalty: f64) -> Score {
         Score {

@@ -16,7 +16,7 @@
 
 use crate::codec::{result_from_json, result_to_json};
 use crate::json::Json;
-use crate::sweep::SweepSpec;
+use crate::sweep::{CellIndex, SweepSpec};
 use dtm_core::{Counter, DtmConfig, FaultConfig, ObsHandle, PolicySpec, RunResult, SimConfig};
 use dtm_workloads::{TraceGenConfig, Workload};
 use std::path::{Path, PathBuf};
@@ -302,6 +302,30 @@ impl ResultCache {
         } else {
             let _ = std::fs::remove_file(&tmp);
         }
+    }
+
+    /// Stores the result of `spec`'s `cell` under the describe header
+    /// every writer of a cell uses — its benchmark names, mix, policy,
+    /// variant and crate version, and the fault scenario's name when it
+    /// is not ideal — so a cell's entry has the same bytes whichever
+    /// backend or server computed it.
+    pub fn store_cell(&self, key: CellKey, spec: &SweepSpec, cell: CellIndex, result: &RunResult) {
+        let workload = &spec.workload_axis()[cell.workload];
+        let variant = &spec.variant_axis()[cell.variant];
+        let mut describe = vec![
+            ("workload".into(), Json::str(workload.display_name())),
+            ("mix".into(), Json::str(workload.mix_label())),
+            (
+                "policy".into(),
+                Json::str(spec.policy_axis()[cell.policy].name()),
+            ),
+            ("variant".into(), Json::str(&variant.name)),
+            ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
+        ];
+        if !variant.faults.is_ideal() {
+            describe.push(("faults".into(), Json::str(&variant.faults.scenario.name)));
+        }
+        self.store(key, &Json::Obj(describe), result);
     }
 }
 
@@ -607,12 +631,22 @@ mod tests {
         // rejects it.
         let d2 = DtmConfig::with_threshold(95.0);
         let other = key_for(&SimConfig::default(), &d2);
-        std::fs::write(cache.path(other), text).unwrap();
+        std::fs::write(cache.path(other), &text).unwrap();
         assert!(cache.load(other).is_none());
 
         // Missing entirely.
         let d3 = DtmConfig::with_threshold(96.0);
         assert!(cache.load(key_for(&SimConfig::default(), &d3)).is_none());
+
+        // A whole entry whose result has a field this build does not
+        // write (a foreign build's), or one field twice: decoding is
+        // strict, so both miss.
+        let whole = text.trim_end().strip_suffix("]}}").unwrap();
+        for extra in [r#","quantum_lanes":64"#, r#","stalls":9"#] {
+            std::fs::write(&path, format!("{whole}]{extra}}}}}\n")).unwrap();
+            assert!(Json::parse(&std::fs::read_to_string(&path).unwrap()).is_ok());
+            assert!(cache.load(key).is_none(), "{extra}");
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 

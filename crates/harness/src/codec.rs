@@ -1,13 +1,19 @@
-//! Hand-written JSON codecs for [`RunResult`], [`DtmConfig`] and
-//! [`FaultConfig`] (the workspace serde is a marker-trait stub; see
-//! `vendor/README.md`). Floats use shortest-round-trip formatting, so
-//! decode(encode(r)) is bit-identical to `r` — the property the result
-//! cache and the wire rely on.
+//! Field-by-field JSON codecs ([`JsonCodec`]) for every record the
+//! workspace writes and reads back: a [`RunResult`] in a cache entry,
+//! a ledger row or a serve reply, and the [`DtmConfig`] and
+//! [`FaultConfig`] a `simulate` request carries. The workspace serde is
+//! a marker-trait stub (see `vendor/README.md`).
 //!
-//! The config codecs ([`JsonCodec`]) write every field under its Rust
-//! name and read every field back, rejecting any other.
+//! [`struct_codec!`] writes every struct field under its Rust name, in
+//! the order it lists them, and leaves an `Option` field out when it is
+//! `None`. Reading back requires every other field, reads an absent
+//! `Option` field as `None`, and rejects an unknown or repeated field,
+//! so a foreign cache entry reads as a miss. Floats use
+//! shortest-round-trip formatting, so decode(encode(r)) is
+//! bit-identical to `r` — the property the result cache and the wire
+//! rely on.
 
-use crate::json::{Json, JsonError};
+use crate::json::{Fields, Json, JsonError};
 use dtm_core::{
     DtmConfig, FallbackKind, FaultConfig, FaultEvent, FaultKind, FaultScenario, FaultTarget,
     GainScheduleConfig, GainStats, PhaseNs, PhaseProfile, Robustness, RunResult, SteadyTempSummary,
@@ -16,204 +22,23 @@ use dtm_core::{
 
 /// Encodes a run result as a JSON object.
 pub fn result_to_json(r: &RunResult) -> Json {
-    let mut fields = vec![
-        ("duration".into(), Json::f64(r.duration)),
-        ("cores".into(), Json::usize(r.cores)),
-        ("instructions".into(), Json::f64(r.instructions)),
-        ("duty_cycle".into(), Json::f64(r.duty_cycle)),
-        ("max_temp".into(), Json::f64(r.max_temp)),
-        ("emergency_time".into(), Json::f64(r.emergency_time)),
-        ("migrations".into(), Json::u64(r.migrations)),
-        ("dvfs_transitions".into(), Json::u64(r.dvfs_transitions)),
-        ("stalls".into(), Json::u64(r.stalls)),
-        ("energy".into(), Json::f64(r.energy)),
-        (
-            "robustness".into(),
-            Json::Obj(vec![
-                (
-                    "violation_time".into(),
-                    Json::f64(r.robustness.violation_time),
-                ),
-                (
-                    "peak_overshoot".into(),
-                    Json::f64(r.robustness.peak_overshoot),
-                ),
-                (
-                    "false_throttle_time".into(),
-                    Json::f64(r.robustness.false_throttle_time),
-                ),
-                (
-                    "fallback_time".into(),
-                    Json::f64(r.robustness.fallback_time),
-                ),
-                (
-                    "fallback_entries".into(),
-                    Json::u64(r.robustness.fallback_entries),
-                ),
-                (
-                    "fallback_exits".into(),
-                    Json::u64(r.robustness.fallback_exits),
-                ),
-                (
-                    "watchdog_flags".into(),
-                    Json::u64(r.robustness.watchdog_flags),
-                ),
-            ]),
-        ),
-        (
-            "threads".into(),
-            Json::Arr(
-                r.threads
-                    .iter()
-                    .map(|t| {
-                        Json::Obj(vec![
-                            ("instructions".into(), Json::f64(t.instructions)),
-                            ("scaled_work".into(), Json::f64(t.scaled_work)),
-                            ("migrations".into(), Json::u64(t.migrations)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    // Optional fields are appended only when present; absent ones
-    // decode to `None`.
-    if let Some(s) = &r.steady {
-        fields.push((
-            "steady".into(),
-            Json::Obj(vec![
-                ("mean".into(), Json::f64(s.mean)),
-                ("min".into(), Json::f64(s.min)),
-                ("max".into(), Json::f64(s.max)),
-            ]),
-        ));
-    }
-    if let Some(p) = &r.phases {
-        fields.push((
-            "phases".into(),
-            Json::Obj(vec![
-                ("steps".into(), Json::u64(p.steps)),
-                (
-                    "phases".into(),
-                    Json::Arr(
-                        p.phases
-                            .iter()
-                            .map(|ph| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::str(&ph.name)),
-                                    ("ns".into(), Json::u64(ph.ns)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        ));
-    }
-    if let Some(g) = &r.gain_stats {
-        fields.push((
-            "gain_stats".into(),
-            Json::Obj(vec![
-                ("kp_min".into(), Json::f64(g.kp_min)),
-                ("kp_max".into(), Json::f64(g.kp_max)),
-                ("ki_min".into(), Json::f64(g.ki_min)),
-                ("ki_max".into(), Json::f64(g.ki_max)),
-                ("adaptations".into(), Json::u64(g.adaptations)),
-            ]),
-        ));
-    }
-    Json::Obj(fields)
+    r.to_json()
 }
 
 /// Decodes a run result from [`result_to_json`]'s layout.
 ///
 /// # Errors
 ///
-/// Fails on missing fields or type mismatches (e.g. a corrupt or
-/// foreign cache file).
+/// Fails on a missing, unknown or repeated field or a type mismatch
+/// (e.g. a corrupt or foreign cache file).
 pub fn result_from_json(v: &Json) -> Result<RunResult, JsonError> {
-    let threads = v
-        .field("threads")?
-        .as_arr()?
-        .iter()
-        .map(|t| {
-            Ok(ThreadStats {
-                instructions: t.field("instructions")?.as_f64()?,
-                scaled_work: t.field("scaled_work")?.as_f64()?,
-                migrations: t.field("migrations")?.as_u64()?,
-            })
-        })
-        .collect::<Result<Vec<_>, JsonError>>()?;
-    let rv = v.field("robustness")?;
-    let robustness = Robustness {
-        violation_time: rv.field("violation_time")?.as_f64()?,
-        peak_overshoot: rv.field("peak_overshoot")?.as_f64()?,
-        false_throttle_time: rv.field("false_throttle_time")?.as_f64()?,
-        fallback_time: rv.field("fallback_time")?.as_f64()?,
-        fallback_entries: rv.field("fallback_entries")?.as_u64()?,
-        fallback_exits: rv.field("fallback_exits")?.as_u64()?,
-        watchdog_flags: rv.field("watchdog_flags")?.as_u64()?,
-    };
-    // The optional objects: absent means the run was unprofiled (or,
-    // for `gain_stats`, fixed-gain).
-    let steady = match v.field("steady") {
-        Ok(sv) => Some(SteadyTempSummary {
-            mean: sv.field("mean")?.as_f64()?,
-            min: sv.field("min")?.as_f64()?,
-            max: sv.field("max")?.as_f64()?,
-        }),
-        Err(_) => None,
-    };
-    let phases = match v.field("phases") {
-        Ok(pv) => Some(PhaseProfile {
-            steps: pv.field("steps")?.as_u64()?,
-            phases: pv
-                .field("phases")?
-                .as_arr()?
-                .iter()
-                .map(|ph| {
-                    Ok(PhaseNs {
-                        name: ph.field("name")?.as_str()?.to_string(),
-                        ns: ph.field("ns")?.as_u64()?,
-                    })
-                })
-                .collect::<Result<Vec<_>, JsonError>>()?,
-        }),
-        Err(_) => None,
-    };
-    let gain_stats = match v.field("gain_stats") {
-        Ok(gv) => Some(GainStats {
-            kp_min: gv.field("kp_min")?.as_f64()?,
-            kp_max: gv.field("kp_max")?.as_f64()?,
-            ki_min: gv.field("ki_min")?.as_f64()?,
-            ki_max: gv.field("ki_max")?.as_f64()?,
-            adaptations: gv.field("adaptations")?.as_u64()?,
-        }),
-        Err(_) => None,
-    };
-    Ok(RunResult {
-        duration: v.field("duration")?.as_f64()?,
-        cores: v.field("cores")?.as_usize()?,
-        instructions: v.field("instructions")?.as_f64()?,
-        duty_cycle: v.field("duty_cycle")?.as_f64()?,
-        max_temp: v.field("max_temp")?.as_f64()?,
-        emergency_time: v.field("emergency_time")?.as_f64()?,
-        migrations: v.field("migrations")?.as_u64()?,
-        dvfs_transitions: v.field("dvfs_transitions")?.as_u64()?,
-        stalls: v.field("stalls")?.as_u64()?,
-        energy: v.field("energy")?.as_f64()?,
-        robustness,
-        steady,
-        phases,
-        gain_stats,
-        threads,
-    })
+    RunResult::from_json(v)
 }
 
 /// A type with a field-by-field JSON encoding: every struct field
 /// under its Rust name, every enum an object whose `type` names the
 /// variant beside that variant's fields. The decoder requires every
-/// field and rejects any other.
+/// field but an absent `Option` one and rejects any other.
 pub trait JsonCodec: Sized {
     /// Encodes the value.
     fn to_json(&self) -> Json;
@@ -225,6 +50,41 @@ pub trait JsonCodec: Sized {
     /// Fails on a missing, unknown or repeated field, an unknown
     /// variant, or a type mismatch.
     fn from_json(v: &Json) -> Result<Self, JsonError>;
+}
+
+/// How [`struct_codec!`] writes and reads one field: always present,
+/// except that an `Option` field is left out when `None` and reads as
+/// `None` when absent.
+pub trait JsonField: Sized {
+    /// Appends the field `name`, or nothing for a `None`.
+    fn put_field(&self, name: &str, pairs: &mut Vec<(String, Json)>);
+
+    /// Reads the field `name`.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a missing required field or a bad value.
+    fn take_field(o: &mut Fields<'_>, name: &str) -> Result<Self, JsonError>;
+}
+
+impl<T: JsonCodec> JsonField for T {
+    fn put_field(&self, name: &str, pairs: &mut Vec<(String, Json)>) {
+        pairs.push((name.into(), self.to_json()));
+    }
+    fn take_field(o: &mut Fields<'_>, name: &str) -> Result<Self, JsonError> {
+        T::from_json(o.req(name)?)
+    }
+}
+
+impl<T: JsonCodec> JsonField for Option<T> {
+    fn put_field(&self, name: &str, pairs: &mut Vec<(String, Json)>) {
+        if let Some(v) = self {
+            v.put_field(name, pairs);
+        }
+    }
+    fn take_field(o: &mut Fields<'_>, name: &str) -> Result<Self, JsonError> {
+        o.opt(name).map(T::from_json).transpose()
+    }
 }
 
 /// Implements [`JsonCodec`] for a leaf type from its [`Json`]
@@ -259,20 +119,26 @@ impl<T: JsonCodec> JsonCodec for Vec<T> {
     }
 }
 
-/// Implements [`JsonCodec`] for a struct from its field list. Both
-/// directions name every field without `..`, so a field missing from
-/// the list is a compile error.
+/// Implements [`JsonCodec`] for a struct from its field list, which is
+/// also the order the fields are written in; each field goes through
+/// [`JsonField`]. Both directions name every field without `..`, so a
+/// field missing from the list is a compile error.
+#[macro_export]
 macro_rules! struct_codec {
     ($ty:ident; $($field:ident),* $(,)?) => {
-        impl JsonCodec for $ty {
-            fn to_json(&self) -> Json {
+        impl $crate::codec::JsonCodec for $ty {
+            fn to_json(&self) -> $crate::json::Json {
                 let $ty { $($field),* } = self;
-                Json::Obj(vec![$((stringify!($field).into(), $field.to_json())),*])
+                let mut pairs = Vec::with_capacity([$(stringify!($field)),*].len());
+                $($crate::codec::JsonField::put_field($field, stringify!($field), &mut pairs);)*
+                $crate::json::Json::Obj(pairs)
             }
-            fn from_json(v: &Json) -> Result<Self, JsonError> {
+            fn from_json(
+                v: &$crate::json::Json,
+            ) -> ::std::result::Result<Self, $crate::json::JsonError> {
                 let mut o = v.fields()?;
                 let decoded = $ty {
-                    $($field: JsonCodec::from_json(o.req(stringify!($field))?)?),*
+                    $($field: $crate::codec::JsonField::take_field(&mut o, stringify!($field))?),*
                 };
                 o.end()?;
                 Ok(decoded)
@@ -280,6 +146,8 @@ macro_rules! struct_codec {
         }
     };
 }
+
+pub use struct_codec;
 
 /// Implements [`JsonCodec`] for an enum from its variant list; the
 /// encoder's `match` makes a variant missing from the list a compile
@@ -314,6 +182,15 @@ macro_rules! enum_codec {
     };
 }
 
+struct_codec!(RunResult; duration, cores, instructions, duty_cycle, max_temp, emergency_time,
+    migrations, dvfs_transitions, stalls, energy, robustness, threads, steady, phases, gain_stats);
+struct_codec!(Robustness; violation_time, peak_overshoot, false_throttle_time, fallback_time,
+    fallback_entries, fallback_exits, watchdog_flags);
+struct_codec!(ThreadStats; instructions, scaled_work, migrations);
+struct_codec!(SteadyTempSummary; mean, min, max);
+struct_codec!(PhaseProfile; steps, phases);
+struct_codec!(PhaseNs; name, ns);
+struct_codec!(GainStats; kp_min, kp_max, ki_min, ki_max, adaptations);
 struct_codec!(DtmConfig; threshold, stopgo_trip_margin, stopgo_stall, dvfs_setpoint_margin,
     dvfs_min_scale, dvfs_min_transition, dvfs_transition_penalty, migration_penalty, os_tick,
     migration_interval, pi_kp, pi_ki, gain_schedule);
@@ -468,5 +345,86 @@ mod tests {
     fn corrupt_layouts_are_errors() {
         assert!(result_from_json(&Json::parse("{}").unwrap()).is_err());
         assert!(result_from_json(&Json::parse("{\"duration\":\"x\"}").unwrap()).is_err());
+        // Decoding is strict: an unknown or repeated field at any
+        // level (an optional one included) and an object too wide for
+        // the read mask are errors.
+        let with = |path: &[&str], pair: (&str, Json)| {
+            let mut v = result_to_json(&sample());
+            let mut obj = &mut v;
+            for key in path {
+                let Json::Obj(pairs) = obj else {
+                    unreachable!()
+                };
+                obj = &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1;
+            }
+            let Json::Obj(pairs) = obj else {
+                unreachable!()
+            };
+            pairs.push((pair.0.into(), pair.1));
+            result_from_json(&Json::parse(&v.emit()).unwrap())
+        };
+        for (path, pair) in [
+            (&[][..], ("quantum_lanes", Json::u64(64))),
+            (&[], ("stalls", Json::u64(3))),
+            (&[], ("steady", Json::Null)),
+            (&["robustness"], ("fallback_exits", Json::u64(1))),
+            (&["gain_stats"], ("kd_max", Json::f64(0.5))),
+        ] {
+            let err = with(path, pair.clone()).unwrap_err();
+            assert!(err.0.contains("field"), "{path:?} + {pair:?}: {err}");
+        }
+        let bare = RunResult {
+            steady: None,
+            ..sample()
+        };
+        let mut wide = result_to_json(&bare);
+        if let Json::Obj(pairs) = &mut wide {
+            pairs.extend((0..52).map(|i| (format!("pad{i}"), Json::Null)));
+        }
+        let err = result_from_json(&wide).unwrap_err();
+        assert!(err.0.contains("exceeds 64"), "{err}");
+    }
+
+    #[test]
+    fn result_bytes_are_pinned() {
+        // The bytes every cache entry, ledger row and `result` frame
+        // holds; a change here orphans every stored result.
+        assert_eq!(
+            result_to_json(&sample()).emit(),
+            concat!(
+                r#"{"duration":0.5,"cores":4,"instructions":5678000000.333333,"#,
+                r#""duty_cycle":0.8153729104,"max_temp":84.1999999999,"emergency_time":0.0,"#,
+                r#""migrations":17,"dvfs_transitions":12345,"stalls":3,"energy":22.25,"#,
+                r#""robustness":{"violation_time":0.0125,"peak_overshoot":1.4861111111111112,"#,
+                r#""false_throttle_time":0.031,"fallback_time":0.25,"fallback_entries":2,"#,
+                r#""fallback_exits":1,"watchdog_flags":4321},"#,
+                r#""threads":[{"instructions":1500000000.0,"scaled_work":0.41,"migrations":5},"#,
+                r#"{"instructions":0.0,"scaled_work":0.0,"migrations":0}],"#,
+                r#""steady":{"mean":83.48035714285714,"min":82.9,"max":84.125},"#,
+                r#""phases":{"steps":18000,"phases":[{"name":"microarch","ns":123456789},"#,
+                r#"{"name":"thermal","ns":987654321}]},"#,
+                r#""gain_stats":{"kp_min":0.008025,"kp_max":0.014266666666666665,"#,
+                r#""ki_min":186.375,"ki_max":331.3333333333333,"adaptations":7654}}"#,
+            )
+        );
+        let bare = RunResult {
+            steady: None,
+            phases: None,
+            gain_stats: None,
+            ..sample()
+        };
+        assert_eq!(
+            result_to_json(&bare).emit(),
+            concat!(
+                r#"{"duration":0.5,"cores":4,"instructions":5678000000.333333,"#,
+                r#""duty_cycle":0.8153729104,"max_temp":84.1999999999,"emergency_time":0.0,"#,
+                r#""migrations":17,"dvfs_transitions":12345,"stalls":3,"energy":22.25,"#,
+                r#""robustness":{"violation_time":0.0125,"peak_overshoot":1.4861111111111112,"#,
+                r#""false_throttle_time":0.031,"fallback_time":0.25,"fallback_entries":2,"#,
+                r#""fallback_exits":1,"watchdog_flags":4321},"#,
+                r#""threads":[{"instructions":1500000000.0,"scaled_work":0.41,"migrations":5},"#,
+                r#"{"instructions":0.0,"scaled_work":0.0,"migrations":0}]}"#,
+            )
+        );
     }
 }

@@ -50,6 +50,10 @@ impl std::error::Error for JsonError {}
 /// deepest document this workspace writes nests 4 levels.
 const MAX_DEPTH: usize = 128;
 
+/// Most fields an object read through [`Fields`] may have: one bit of
+/// its read mask each. The widest record this workspace writes has 15.
+const MAX_FIELDS: usize = 64;
+
 fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
     Err(JsonError(msg.into()))
 }
@@ -150,12 +154,17 @@ impl Json {
     }
 
     /// Starts reading this object field by field (see [`Fields`]).
+    ///
+    /// # Errors
+    ///
+    /// Fails on anything but an object of at most 64 fields.
     pub fn fields(&self) -> Result<Fields<'_>, JsonError> {
         match self {
-            Json::Obj(pairs) => Ok(Fields {
-                pairs,
-                read: Vec::new(),
-            }),
+            Json::Obj(pairs) if pairs.len() <= MAX_FIELDS => Ok(Fields { pairs, read: 0 }),
+            Json::Obj(pairs) => err(format!(
+                "object of {} fields exceeds {MAX_FIELDS}",
+                pairs.len()
+            )),
             other => err(format!("expected object, found {other:?}")),
         }
     }
@@ -228,15 +237,16 @@ impl Json {
 #[derive(Debug)]
 pub struct Fields<'a> {
     pairs: &'a [(String, Json)],
-    /// Indexes into `pairs` of the fields read so far.
-    read: Vec<usize>,
+    /// Bit `i` is set once `pairs[i]` has been read.
+    read: u64,
 }
 
 impl<'a> Fields<'a> {
-    /// An optional field (`None` when absent).
+    /// An optional field (`None` when absent); the first spelling of a
+    /// repeated field.
     pub fn opt(&mut self, name: &str) -> Option<&'a Json> {
         let i = self.pairs.iter().position(|(k, _)| k == name)?;
-        self.read.push(i);
+        self.read |= 1 << i;
         Some(&self.pairs[i].1)
     }
 
@@ -248,10 +258,11 @@ impl<'a> Fields<'a> {
 
     /// Fails on the first field that was not read.
     pub fn end(self) -> Result<(), JsonError> {
-        match (0..self.pairs.len()).find(|i| !self.read.contains(i)) {
-            None => Ok(()),
-            Some(i) => err(format!("unknown or repeated field `{}`", self.pairs[i].0)),
+        if self.read.count_ones() as usize == self.pairs.len() {
+            return Ok(());
         }
+        let i = (!self.read).trailing_zeros() as usize;
+        err(format!("unknown or repeated field `{}`", self.pairs[i].0))
     }
 }
 
@@ -590,5 +601,24 @@ mod tests {
         assert_eq!(v.field("a").unwrap().as_u64().unwrap(), 3);
         assert!(v.field("missing").is_err());
         assert!(v.field("b").unwrap().as_u64().is_err());
+
+        // `Fields` finds fields in any order and fails on any left
+        // unread, a second spelling of one it read included.
+        let num = |n: &str| Json::Num(n.into());
+        let v = Json::parse(r#"{"a":1,"b":2,"c":3}"#).unwrap();
+        let mut o = v.fields().unwrap();
+        assert_eq!(o.req("c").unwrap(), &num("3"));
+        assert_eq!(o.req("a").unwrap(), &num("1"));
+        assert!(o.opt("z").is_none() && o.req("z").is_err());
+        assert_eq!(o.req("b").unwrap(), &num("2"));
+        assert!(o.end().is_ok());
+        for order in [["b", "a"], ["a", "b"]] {
+            let v = Json::parse(r#"{"a":1,"b":2,"a":3}"#).unwrap();
+            let mut o = v.fields().unwrap();
+            for name in order {
+                o.req(name).unwrap();
+            }
+            assert!(o.end().unwrap_err().0.contains("repeated field `a`"));
+        }
     }
 }

@@ -1,7 +1,10 @@
 //! The structured run ledger: one JSON record per executed or
 //! cache-served cell, appended to `results/ledger.jsonl`.
 //!
-//! Schema (one object per line; field order as written):
+//! A sweep appends a row for each of its cells; `dtm_serve` appends one
+//! for each cell it simulates, as a one-cell sweep whose variant is
+//! named `serve`, through the same [`Ledger::append`]. Both follow this
+//! schema (one object per line; field order as written):
 //!
 //! ```text
 //! {
@@ -13,8 +16,10 @@
 //!   "variant":   config-variant name, e.g. "base" or "threshold=100",
 //!   "cached":    true if served from the result cache (no simulation),
 //!   "wall_s":    wall-clock seconds spent producing the result,
-//!   "queue_s":   seconds the cell waited before execution started (0 for hits),
-//!   "worker":    worker thread id (0 for cache hits),
+//!   "queue_s":   seconds the cell waited before execution started (0 for hits;
+//!                the server's queue wait for a served cell),
+//!   "worker":    worker thread id (0 for cache hits; the server's worker for a
+//!                served cell),
 //!   "result":    the full RunResult (see dtm-harness::codec)
 //! }
 //! ```
@@ -65,17 +70,6 @@ impl Ledger {
         self.appender.path()
     }
 
-    /// The shared line appender, for co-writers (the simulation
-    /// server) that build their own row layouts.
-    pub fn appender(&self) -> &LineAppender {
-        &self.appender
-    }
-
-    /// Appends an arbitrary record as one whole JSONL row.
-    pub fn append_record(&self, rec: &Json) {
-        self.appender.append_line(&rec.emit());
-    }
-
     /// Appends one cell record.
     pub fn append(&self, spec: &SweepSpec, outcome: &CellOutcome) {
         let w = &spec.workload_axis()[outcome.index.workload];
@@ -98,7 +92,7 @@ impl Ledger {
             ("worker".into(), Json::usize(outcome.worker)),
             ("result".into(), result_to_json(&outcome.result)),
         ]);
-        self.append_record(&rec);
+        self.appender.append_line(&rec.emit());
     }
 }
 

@@ -11,7 +11,6 @@
 //! collection — so every backend produces byte-identical bookkeeping.
 
 use crate::cache::{cell_keys, CellKey, ResultCache};
-use crate::json::Json;
 use crate::ledger::Ledger;
 use crate::progress::Progress;
 use crate::sweep::{CellIndex, CellOutcome, SweepResults, SweepSpec};
@@ -66,22 +65,9 @@ impl BackendCtx<'_> {
     /// regardless of which backend produced the result — so cache
     /// contents are bit-identical across local and remote execution.
     pub fn publish(&self, i: usize, result: &dtm_core::RunResult) {
-        let Some(cache) = self.cache else { return };
-        let cell = self.cells[i];
-        let workload = &self.spec.workload_axis()[cell.workload];
-        let policy = self.spec.policy_axis()[cell.policy];
-        let variant = &self.spec.variant_axis()[cell.variant];
-        let mut fields = vec![
-            ("workload".into(), Json::str(workload.display_name())),
-            ("mix".into(), Json::str(workload.mix_label())),
-            ("policy".into(), Json::str(policy.name())),
-            ("variant".into(), Json::str(&variant.name)),
-            ("version".into(), Json::str(env!("CARGO_PKG_VERSION"))),
-        ];
-        if !variant.faults.is_ideal() {
-            fields.push(("faults".into(), Json::str(&variant.faults.scenario.name)));
+        if let Some(cache) = self.cache {
+            cache.store_cell(self.keys[i], self.spec, self.cells[i], result);
         }
-        cache.store(self.keys[i], &Json::Obj(fields), result);
     }
 
     /// Generates (or disk-loads) the traces every benchmark in `subset`

@@ -7,12 +7,9 @@
 //! orphans every existing cache entry and wire memo. The values below
 //! pin three cells' addresses; a deliberate rotation re-pins them. The
 //! tuned-gain and gain-schedule tests assert the converse: a config
-//! that changes a field must rekey, and one that spells a default
-//! explicitly must not.
+//! that changes a field must rekey.
 
-use dtm_core::{
-    DtmConfig, FaultConfig, GainScheduleConfig, PolicySpec, SimConfig, PAPER_PI_KI, PAPER_PI_KP,
-};
+use dtm_core::{DtmConfig, FaultConfig, GainScheduleConfig, PolicySpec, SimConfig};
 use dtm_harness::{cell_key, CellKey};
 use dtm_workloads::{standard_workloads, TraceGenConfig};
 
@@ -72,37 +69,9 @@ fn default_config_cells_keep_their_pinned_addresses() {
 }
 
 #[test]
-fn paper_default_gains_spelled_explicitly_do_not_rekey() {
-    // A config that sets the gains to their paper values is the *same*
-    // config — it must share the default's address bit for bit.
-    let explicit = DtmConfig {
-        pi_kp: PAPER_PI_KP,
-        pi_ki: PAPER_PI_KI,
-        ..DtmConfig::default()
-    };
-    let k = |d: &DtmConfig| {
-        cell_key(
-            &standard_workloads()[0],
-            PolicySpec::baseline(),
-            &SimConfig::default(),
-            d,
-            &FaultConfig::ideal(),
-            &TraceGenConfig::default(),
-            "0.2.0",
-        )
-    };
-    assert_eq!(k(&explicit), k(&DtmConfig::default()));
-    assert_eq!(
-        k(&explicit),
-        CellKey(202938442432549250901236756951541137682)
-    );
-}
-
-#[test]
-fn gain_schedules_rekey_only_when_adaptive() {
-    // An explicit `Fixed` schedule is the default config and must
-    // keep its address, while each adaptive schedule (and each
-    // parameterization of one) gets a distinct cell.
+fn adaptive_schedules_and_their_parameters_rekey_the_cell() {
+    // Each adaptive schedule, and each parameterization of one, gets a
+    // cell of its own.
     let k = |d: &DtmConfig| {
         cell_key(
             &standard_workloads()[0],
@@ -119,11 +88,6 @@ fn gain_schedules_rekey_only_when_adaptive() {
         ..DtmConfig::default()
     };
 
-    assert_eq!(
-        k(&with(GainScheduleConfig::Fixed)),
-        CellKey(202938442432549250901236756951541137682),
-        "explicit Fixed must share the default address"
-    );
     let rao = k(&with(GainScheduleConfig::rao_default()));
     let selftune = k(&with(GainScheduleConfig::selftune_default()));
     let rao_tuned = k(&with(GainScheduleConfig::Rao {

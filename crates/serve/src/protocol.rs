@@ -7,13 +7,16 @@
 //! payload vocabulary is deliberately small — four request verbs, seven
 //! response verbs — and every message is a JSON object whose `verb`
 //! field selects the variant, so the protocol stays greppable in a
-//! packet capture. Unknown verbs, and fields a `simulate` request does
-//! not know, are an explicit error response, not a dead connection.
+//! packet capture. The rest of a payload is written and read through
+//! its codec (`dtm_harness::codec`), and a field a `simulate` request
+//! or a response does not know is an error. A request with an unknown
+//! verb or field gets an explicit error response, not a dead
+//! connection.
 
 use crate::request::SimRequest;
 use dtm_core::RunResult;
-use dtm_harness::codec::{result_from_json, result_to_json};
-use dtm_harness::json::Json;
+use dtm_harness::codec::{struct_codec, JsonCodec};
+use dtm_harness::json::{Json, JsonError};
 use std::io::{self, Read, Write};
 
 /// Upper bound on a single frame's payload, server- and client-side.
@@ -226,20 +229,26 @@ pub enum Request {
     Shutdown,
 }
 
+/// A frame's payload bytes: `verb`, then the fields of `payload` (an
+/// object).
+fn frame(verb: &str, payload: Json) -> Vec<u8> {
+    let mut pairs = vec![("verb".to_string(), Json::str(verb))];
+    if let Json::Obj(fields) = payload {
+        pairs.extend(fields);
+    }
+    Json::Obj(pairs).emit().into_bytes()
+}
+
 impl Request {
     /// Encodes the request as a JSON payload.
     pub fn encode(&self) -> Vec<u8> {
-        let json = match self {
-            Request::Simulate(req) => {
-                let mut fields = vec![("verb".into(), Json::str("simulate"))];
-                fields.extend(req.to_fields());
-                Json::Obj(fields)
-            }
-            Request::Metrics => Json::Obj(vec![("verb".into(), Json::str("metrics"))]),
-            Request::Ping => Json::Obj(vec![("verb".into(), Json::str("ping"))]),
-            Request::Shutdown => Json::Obj(vec![("verb".into(), Json::str("shutdown"))]),
+        let (verb, payload) = match self {
+            Request::Simulate(req) => ("simulate", Json::Obj(req.to_fields())),
+            Request::Metrics => ("metrics", Json::Obj(Vec::new())),
+            Request::Ping => ("ping", Json::Obj(Vec::new())),
+            Request::Shutdown => ("shutdown", Json::Obj(Vec::new())),
         };
-        json.emit().into_bytes()
+        frame(verb, payload)
     }
 
     /// Decodes a request payload.
@@ -279,21 +288,21 @@ pub enum ResultSource {
     Disk,
 }
 
-impl ResultSource {
-    fn wire(self) -> &'static str {
-        match self {
+impl JsonCodec for ResultSource {
+    fn to_json(&self) -> Json {
+        Json::str(match self {
             ResultSource::Simulated => "sim",
             ResultSource::Memo => "memo",
             ResultSource::Disk => "disk",
-        }
+        })
     }
 
-    fn parse(s: &str) -> Result<Self, String> {
-        match s {
+    fn from_json(v: &Json) -> Result<Self, JsonError> {
+        match v.as_str()? {
             "sim" => Ok(ResultSource::Simulated),
             "memo" => Ok(ResultSource::Memo),
             "disk" => Ok(ResultSource::Disk),
-            other => Err(format!("unknown result source `{other}`")),
+            other => Err(JsonError(format!("unknown result source `{other}`"))),
         }
     }
 }
@@ -316,6 +325,8 @@ pub struct ServerInfo {
     pub tracegen: String,
 }
 
+struct_codec!(ServerInfo; version, workers, cache, base_sim, tracegen);
+
 /// A completed simulation, as returned to the client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimResponse {
@@ -330,6 +341,8 @@ pub struct SimResponse {
     /// The simulation metrics.
     pub result: RunResult,
 }
+
+struct_codec!(SimResponse; key, source, wall_us, queue_us, result);
 
 /// A server → client message.
 #[derive(Debug, Clone, PartialEq)]
@@ -368,50 +381,31 @@ pub enum Response {
 }
 
 impl Response {
-    /// Encodes the response as a JSON payload.
+    /// Encodes the response as a JSON payload: the verb, then the
+    /// payload's fields.
     pub fn encode(&self) -> Vec<u8> {
-        let json = match self {
-            Response::Result(r) => Json::Obj(vec![
-                ("verb".into(), Json::str("result")),
-                ("key".into(), Json::str(&r.key)),
-                ("source".into(), Json::str(r.source.wire())),
-                ("wall_us".into(), Json::u64(r.wall_us)),
-                ("queue_us".into(), Json::u64(r.queue_us)),
-                ("result".into(), result_to_json(&r.result)),
-            ]),
-            Response::Overloaded { queue_depth } => Json::Obj(vec![
-                ("verb".into(), Json::str("overloaded")),
-                ("queue_depth".into(), Json::usize(*queue_depth)),
-            ]),
-            Response::Timeout { waited_ms } => Json::Obj(vec![
-                ("verb".into(), Json::str("timeout")),
-                ("waited_ms".into(), Json::u64(*waited_ms)),
-            ]),
-            Response::Error { message } => Json::Obj(vec![
-                ("verb".into(), Json::str("error")),
-                ("message".into(), Json::str(message)),
-            ]),
-            Response::Metrics { text } => Json::Obj(vec![
-                ("verb".into(), Json::str("metrics")),
-                ("text".into(), Json::str(text)),
-            ]),
-            Response::Pong { info } => {
-                let mut fields = vec![("verb".into(), Json::str("pong"))];
-                if let Some(i) = info {
-                    fields.push(("version".into(), Json::str(&i.version)));
-                    fields.push(("workers".into(), Json::usize(i.workers)));
-                    fields.push(("cache".into(), Json::Bool(i.cache)));
-                    fields.push(("base_sim".into(), Json::str(&i.base_sim)));
-                    fields.push(("tracegen".into(), Json::str(&i.tracegen)));
-                }
-                Json::Obj(fields)
+        let field = |name: &str, v: Json| Json::Obj(vec![(name.into(), v)]);
+        let (verb, payload) = match self {
+            Response::Result(r) => ("result", r.to_json()),
+            Response::Overloaded { queue_depth } => {
+                ("overloaded", field("queue_depth", queue_depth.to_json()))
             }
-            Response::ShuttingDown => Json::Obj(vec![("verb".into(), Json::str("shutting-down"))]),
+            Response::Timeout { waited_ms } => ("timeout", field("waited_ms", waited_ms.to_json())),
+            Response::Error { message } => ("error", field("message", message.to_json())),
+            Response::Metrics { text } => ("metrics", field("text", text.to_json())),
+            Response::Pong { info } => (
+                "pong",
+                info.as_ref()
+                    .map_or(Json::Obj(Vec::new()), JsonCodec::to_json),
+            ),
+            Response::ShuttingDown => ("shutting-down", Json::Obj(Vec::new())),
         };
-        json.emit().into_bytes()
+        frame(verb, payload)
     }
 
-    /// Decodes a response payload.
+    /// Decodes a response payload. Every field but the verb is read
+    /// through the payload's codec, and an unknown or repeated field is
+    /// an error.
     ///
     /// # Errors
     ///
@@ -419,76 +413,53 @@ impl Response {
     pub fn decode(payload: &[u8]) -> Result<Response, String> {
         let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
         let json = Json::parse(text).map_err(|e| format!("malformed response: {e}"))?;
-        let verb = json
-            .field("verb")
-            .and_then(|v| v.as_str())
-            .map_err(|_| "response has no string `verb` field".to_string())?;
-        let str_field = |name: &str| -> Result<String, String> {
-            json.field(name)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .map_err(|e| format!("bad `{name}`: {e}"))
+        let (verb, rest) = split_verb(json).ok_or("response has no string `verb` field")?;
+        let decoded = match verb.as_str() {
+            "result" => SimResponse::from_json(&rest).map(|r| Response::Result(Box::new(r))),
+            "overloaded" => sole_field(&rest, "queue_depth")
+                .and_then(usize::from_json)
+                .map(|queue_depth| Response::Overloaded { queue_depth }),
+            "timeout" => sole_field(&rest, "waited_ms")
+                .and_then(u64::from_json)
+                .map(|waited_ms| Response::Timeout { waited_ms }),
+            "error" => sole_field(&rest, "message")
+                .and_then(String::from_json)
+                .map(|message| Response::Error { message }),
+            "metrics" => sole_field(&rest, "text")
+                .and_then(String::from_json)
+                .map(|text| Response::Metrics { text }),
+            // A server that predates the handshake sends a bare pong.
+            "pong" if rest == Json::Obj(Vec::new()) => Ok(Response::Pong { info: None }),
+            "pong" => ServerInfo::from_json(&rest).map(|i| Response::Pong { info: Some(i) }),
+            "shutting-down" => rest
+                .fields()
+                .and_then(|o| o.end())
+                .map(|()| Response::ShuttingDown),
+            other => return Err(format!("unknown response verb `{other}`")),
         };
-        let u64_field = |name: &str| -> Result<u64, String> {
-            json.field(name)
-                .and_then(|v| v.as_u64())
-                .map_err(|e| format!("bad `{name}`: {e}"))
-        };
-        match verb {
-            "result" => Ok(Response::Result(Box::new(SimResponse {
-                key: str_field("key")?,
-                source: ResultSource::parse(&str_field("source")?)?,
-                wall_us: u64_field("wall_us")?,
-                queue_us: u64_field("queue_us")?,
-                result: result_from_json(
-                    json.field("result")
-                        .map_err(|e| format!("bad result: {e}"))?,
-                )
-                .map_err(|e| format!("bad result: {e}"))?,
-            }))),
-            "overloaded" => Ok(Response::Overloaded {
-                queue_depth: json
-                    .field("queue_depth")
-                    .and_then(|v| v.as_usize())
-                    .map_err(|e| format!("bad `queue_depth`: {e}"))?,
-            }),
-            "timeout" => Ok(Response::Timeout {
-                waited_ms: u64_field("waited_ms")?,
-            }),
-            "error" => Ok(Response::Error {
-                message: str_field("message")?,
-            }),
-            "metrics" => Ok(Response::Metrics {
-                text: str_field("text")?,
-            }),
-            "pong" => {
-                // A bare pong (pre-handshake server) carries no
-                // `version` field; the capability payload is all-or-
-                // nothing beyond that.
-                let info = if json.field("version").is_ok() {
-                    Some(ServerInfo {
-                        version: str_field("version")?,
-                        workers: json
-                            .field("workers")
-                            .and_then(|v| v.as_usize())
-                            .map_err(|e| format!("bad `workers`: {e}"))?,
-                        cache: match json.field("cache") {
-                            Ok(Json::Bool(b)) => *b,
-                            Ok(other) => return Err(format!("bad `cache`: {other:?}")),
-                            Err(e) => return Err(format!("bad `cache`: {e}")),
-                        },
-                        base_sim: str_field("base_sim")?,
-                        tracegen: str_field("tracegen")?,
-                    })
-                } else {
-                    None
-                };
-                Ok(Response::Pong { info })
-            }
-            "shutting-down" => Ok(Response::ShuttingDown),
-            other => Err(format!("unknown response verb `{other}`")),
-        }
+        decoded.map_err(|e| format!("bad `{verb}` response: {e}"))
     }
+}
+
+/// Splits a decoded frame into its string `verb` and an object of its
+/// other fields.
+fn split_verb(json: Json) -> Option<(String, Json)> {
+    let Json::Obj(mut pairs) = json else {
+        return None;
+    };
+    let i = pairs.iter().position(|(k, _)| k == "verb")?;
+    match pairs.remove(i).1 {
+        Json::Str(verb) => Some((verb, Json::Obj(pairs))),
+        _ => None,
+    }
+}
+
+/// The value of the field `name`, which must be the object's only one.
+fn sole_field<'a>(payload: &'a Json, name: &str) -> Result<&'a Json, JsonError> {
+    let mut o = payload.fields()?;
+    let v = o.req(name)?;
+    o.end()?;
+    Ok(v)
 }
 
 #[cfg(test)]
@@ -619,15 +590,66 @@ mod tests {
             Response::decode(old).unwrap(),
             Response::Pong { info: None }
         );
-        // And unknown extra fields on a modern pong stay ignored.
-        let future = br#"{"verb":"pong","version":"9.9.9","workers":2,"cache":false,"base_sim":"s","tracegen":"t","quantum_lanes":64}"#;
-        match Response::decode(future).unwrap() {
+        // A capability payload is read strictly: a field this build
+        // does not know is an error, not silently dropped.
+        let info = r#"{"verb":"pong","version":"9.9.9","workers":2,"cache":false,"base_sim":"s","tracegen":"t""#;
+        match Response::decode(format!("{info}}}").as_bytes()).unwrap() {
             Response::Pong { info: Some(i) } => {
                 assert_eq!(i.version, "9.9.9");
                 assert_eq!(i.workers, 2);
                 assert!(!i.cache);
             }
             other => panic!("expected pong+info, got {other:?}"),
+        }
+        let future = format!(r#"{info},"quantum_lanes":64}}"#);
+        let err = Response::decode(future.as_bytes()).unwrap_err();
+        assert!(err.contains("quantum_lanes"), "{err}");
+    }
+
+    #[test]
+    fn result_frames_round_trip_and_decode_strictly() {
+        let resp = Response::Result(Box::new(SimResponse {
+            key: "f".repeat(32),
+            source: ResultSource::Disk,
+            wall_us: 1_234,
+            queue_us: 56,
+            result: RunResult {
+                duration: 0.05,
+                cores: 4,
+                instructions: 1e8 + 1.0 / 3.0,
+                duty_cycle: 0.5,
+                max_temp: 80.125,
+                emergency_time: 0.0,
+                migrations: 2,
+                dvfs_transitions: 7,
+                stalls: 1,
+                energy: 2.0,
+                robustness: dtm_core::Robustness::default(),
+                steady: None,
+                phases: None,
+                gain_stats: None,
+                threads: vec![dtm_core::ThreadStats::default()],
+            },
+        }));
+        let wire = String::from_utf8(resp.encode()).unwrap();
+        assert!(
+            wire.starts_with(r#"{"verb":"result","key":"ffff"#),
+            "{wire}"
+        );
+        assert_eq!(Response::decode(wire.as_bytes()).unwrap(), resp);
+        // An unknown or repeated field, at the top or inside the
+        // result, is an error.
+        let head = r#"{"verb":"result","#;
+        for (from, to) in [
+            (head, r#"{"verb":"result","lanes":8,"#),
+            (head, r#"{"verb":"result","wall_us":1,"#),
+            (head, r#"{"verb":"result","verb":"result","#),
+            (r#""stalls":1,"#, r#""stalls":1,"lanes":8,"#),
+            (r#""source":"disk""#, r#""source":"tape""#),
+        ] {
+            let bad = wire.replacen(from, to, 1);
+            assert_ne!(bad, wire);
+            assert!(Response::decode(bad.as_bytes()).is_err(), "{bad}");
         }
     }
 

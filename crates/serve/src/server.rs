@@ -31,8 +31,7 @@ use crate::protocol::{
 use crate::queue::{BoundedQueue, PushError};
 use crate::stats::ServeStats;
 use dtm_core::{Experiment, RunResult};
-use dtm_harness::json::Json;
-use dtm_harness::{cell_key, CellKey, Ledger, ResultCache};
+use dtm_harness::{cell_key, CellKey, CellOutcome, Ledger, ResultCache, SweepSpec};
 use dtm_obs::ObsHandle;
 use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary};
 use std::collections::HashMap;
@@ -41,7 +40,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// Server construction parameters.
 #[derive(Debug)]
@@ -530,45 +529,35 @@ fn execute(shared: &Arc<Shared>, job: &Job, worker_id: usize, waited: Duration) 
             };
         }
     };
-    let sim_wall = sim_start.elapsed();
-
+    // The cell's cache entry and ledger row are those of a one-cell
+    // sweep, so they have the bytes a sweep writes for the same cell.
+    let spec = SweepSpec::new(vec![job.workload.clone()])
+        .policies([job.policy])
+        .variant(job.variant.clone());
+    let outcome = CellOutcome {
+        index: spec.cells()[0],
+        key: job.key.hex(),
+        result,
+        cached: false,
+        wall: sim_start.elapsed(),
+        queued: waited,
+        worker: worker_id,
+    };
     shared
         .memo
         .lock()
         .unwrap()
-        .insert(job.key.0, result.clone());
+        .insert(job.key.0, outcome.result.clone());
     if let Some(cache) = &shared.cache {
-        let describe = Json::Obj(vec![
-            ("workload".into(), Json::str(&job.workload.id)),
-            ("policy".into(), Json::str(job.policy.to_string())),
-            ("variant".into(), Json::str(&job.variant.name)),
-        ]);
-        cache.store(job.key, &describe, &result);
+        cache.store_cell(job.key, &spec, outcome.index, &outcome.result);
     }
     if let Some(ledger) = &shared.ledger {
-        let ts = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0);
-        let rec = Json::Obj(vec![
-            ("ts".into(), Json::u64(ts)),
-            ("key".into(), Json::str(job.key.hex())),
-            ("workload".into(), Json::str(&job.workload.id)),
-            ("mix".into(), Json::str(job.workload.mix_label())),
-            ("policy".into(), Json::str(job.policy.to_string())),
-            ("variant".into(), Json::str(&job.variant.name)),
-            ("cached".into(), Json::Bool(false)),
-            ("wall_s".into(), Json::f64(sim_wall.as_secs_f64())),
-            ("queue_s".into(), Json::f64(waited.as_secs_f64())),
-            ("worker".into(), Json::usize(worker_id)),
-            ("result".into(), dtm_harness::codec::result_to_json(&result)),
-        ]);
-        ledger.append_record(&rec);
+        ledger.append(&spec, &outcome);
     }
     complete(
         shared,
         job.key,
-        result,
+        outcome.result,
         ResultSource::Simulated,
         job.admitted,
         waited,

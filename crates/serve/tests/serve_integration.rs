@@ -2,10 +2,14 @@
 //! control, deadlines, and — the contract the subsystem exists for —
 //! graceful drain under concurrent load.
 
+use dtm_harness::json::Json;
+use dtm_harness::{Ledger, ResultCache, SweepRunner, SweepSpec};
 use dtm_serve::server::ShutdownReport;
 use dtm_serve::{Client, Request, Response, ResultSource, Server, ServerConfig, SimRequest};
-use std::path::PathBuf;
+use dtm_workloads::TraceLibrary;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -89,6 +93,64 @@ fn simulate_round_trip_and_serving_tiers() {
     assert!(server2.shutdown().fully_drained());
 
     let _ = std::fs::remove_dir_all(&cache_dir);
+}
+
+#[test]
+fn served_cells_write_the_sweeps_cache_entry_and_ledger_row() {
+    let served_dir = tmpdir("served-cell");
+    let swept_dir = tmpdir("swept-cell");
+    let mut cfg = ServerConfig::fast_test();
+    cfg.workers = 1;
+    cfg.cache = Some(ResultCache::new(served_dir.join("cache")));
+    cfg.ledger = Some(Ledger::open(served_dir.join("ledger.jsonl")));
+    let (base_sim, tracegen) = (cfg.base_sim.clone(), cfg.tracegen.clone());
+    let server = Server::spawn(cfg).unwrap();
+    let req = cold_request(7);
+    let served = match Client::connect(server.addr())
+        .unwrap()
+        .simulate(req.clone())
+        .unwrap()
+    {
+        Response::Result(r) => r,
+        other => panic!("expected result, got {other:?}"),
+    };
+    assert_eq!(served.source, ResultSource::Simulated);
+    assert!(server.shutdown().fully_drained());
+
+    // The same cell as a one-cell sweep, its variant named `serve`.
+    let cell = req.resolve(&base_sim).unwrap();
+    assert_eq!(cell.variant.name, "serve");
+    let spec = SweepSpec::new(vec![cell.workload])
+        .policies([cell.policy])
+        .variant(cell.variant);
+    let swept = SweepRunner::bare_shared(Arc::new(TraceLibrary::new(tracegen)))
+        .with_cache(Some(ResultCache::new(swept_dir.join("cache"))))
+        .with_ledger(Some(Ledger::open(swept_dir.join("ledger.jsonl"))))
+        .run(spec)
+        .unwrap();
+    assert_eq!(swept.outcomes()[0].key, served.key);
+    assert_eq!(swept.outcomes()[0].result, served.result);
+
+    let entry = |dir: &Path| std::fs::read(dir.join(format!("cache/{}.json", served.key))).unwrap();
+    assert_eq!(
+        String::from_utf8(entry(&served_dir)).unwrap(),
+        String::from_utf8(entry(&swept_dir)).unwrap(),
+        "a served cell's cache entry has the sweep's bytes"
+    );
+    // One row each, equal but for when, how long and on which worker.
+    let row = |dir: &Path| {
+        let text = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+        let rows: Vec<&str> = text.lines().collect();
+        assert_eq!(rows.len(), 1, "{text}");
+        let Json::Obj(mut pairs) = Json::parse(rows[0]).unwrap() else {
+            panic!("a row is an object: {text}")
+        };
+        pairs.retain(|(k, _)| !matches!(k.as_str(), "ts" | "wall_s" | "queue_s" | "worker"));
+        Json::Obj(pairs).emit()
+    };
+    assert_eq!(row(&served_dir), row(&swept_dir));
+    let _ = std::fs::remove_dir_all(&served_dir);
+    let _ = std::fs::remove_dir_all(&swept_dir);
 }
 
 #[test]

@@ -108,21 +108,23 @@ impl TraceLibrary {
     }
 
     /// Enables a persistent on-disk cache: traces are stored under
-    /// `dir` keyed by benchmark name and a fingerprint of the
-    /// generation parameters, so reruns (and other processes) skip the
-    /// expensive performance-model pass. Generation is deterministic,
-    /// making the cache purely an optimization.
+    /// `dir` keyed by benchmark name and a fingerprint of the whole
+    /// benchmark and the generation parameters, so reruns (and other
+    /// processes) skip the expensive performance-model pass. Generation
+    /// is deterministic, making the cache purely an optimization.
     pub fn with_disk_cache(mut self, dir: impl Into<PathBuf>) -> Self {
         self.disk_dir = Some(dir.into());
         self
     }
 
-    /// A stable fingerprint of the generation parameters (FNV-1a over
-    /// the salient fields), used in disk-cache file names.
-    fn fingerprint(&self) -> u64 {
+    /// A stable fingerprint of `bench`'s trace inputs (FNV-1a over the
+    /// benchmark's `Debug` spelling, as the cell key spells it, and the
+    /// generation parameters), used in disk-cache file names: editing a
+    /// profile renames its trace file as it rekeys its cells.
+    fn fingerprint(&self, bench: &Benchmark) -> u64 {
         let cfg = &self.cfg;
         let repr = format!(
-            "{:?}|{:?}|{}|{}|{}",
+            "{bench:?}|{:?}|{:?}|{}|{}|{}",
             cfg.core, cfg.power, cfg.samples, cfg.sampling, cfg.warmup_cycles
         );
         repr.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
@@ -130,10 +132,14 @@ impl TraceLibrary {
         })
     }
 
-    fn disk_path(&self, bench_name: &str) -> Option<PathBuf> {
-        self.disk_dir
-            .as_ref()
-            .map(|d| d.join(format!("{bench_name}-{:016x}.dtmtrace", self.fingerprint())))
+    fn disk_path(&self, bench: &Benchmark) -> Option<PathBuf> {
+        self.disk_dir.as_ref().map(|d| {
+            d.join(format!(
+                "{}-{:016x}.dtmtrace",
+                bench.name,
+                self.fingerprint(bench)
+            ))
+        })
     }
 
     /// The generation configuration.
@@ -161,7 +167,7 @@ impl TraceLibrary {
     }
 
     fn load_or_generate(&self, bench: &Benchmark) -> PowerTrace {
-        if let Some(path) = self.disk_path(&bench.name) {
+        if let Some(path) = self.disk_path(bench) {
             if let Ok(file) = std::fs::File::open(&path) {
                 if let Ok(trace) = PowerTrace::read_from(std::io::BufReader::new(file)) {
                     return trace;
@@ -299,7 +305,7 @@ mod tests {
 
         // Truncate the cache file mid-record, as a crashed or
         // out-of-disk writer would leave it.
-        let path = lib1.disk_path(&b.name).unwrap();
+        let path = lib1.disk_path(&b).unwrap();
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() / 3]).unwrap();
 
@@ -327,7 +333,27 @@ mod tests {
         let mut cfg_b = TraceGenConfig::fast_test();
         cfg_b.samples *= 2;
         let lib_b = TraceLibrary::new(cfg_b);
-        assert_ne!(lib_a.fingerprint(), lib_b.fingerprint());
+        let b = benchmark("gzip");
+        assert_ne!(lib_a.fingerprint(&b), lib_b.fingerprint(&b));
+    }
+
+    #[test]
+    fn an_edited_profile_does_not_load_the_old_trace_file() {
+        let dir = std::env::temp_dir().join(format!("dtm-trace-profile-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let gzip = benchmark("gzip");
+        let mut edited = gzip.clone();
+        edited.profile.frac_fp = 0.25;
+        let lib1 = TraceLibrary::new(TraceGenConfig::fast_test()).with_disk_cache(&dir);
+        let old = lib1.trace(&gzip);
+        // Same name, same directory: the second library must generate
+        // the edited profile's trace, not load the first one's file.
+        let lib2 = TraceLibrary::new(TraceGenConfig::fast_test()).with_disk_cache(&dir);
+        let new = lib2.trace(&edited);
+        assert_eq!(*new, generate_trace(&edited, &TraceGenConfig::fast_test()));
+        assert_ne!(*new, *old);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
