@@ -2,49 +2,46 @@
 //! (Figure 4: imbalance-sorted cores × least-intense threads) add over a
 //! blind round-robin rotation ("heat-and-run"-style activity migration,
 //! the related work the paper builds on)?
+//!
+//! The three informed rows are policies of one sweep grid. Blind
+//! rotation installs a `MigrationPolicy` that no `PolicySpec` names, so
+//! a sweep cell cannot express it; its row is stepped directly.
 
-use dtm_bench::{duration_arg, experiment_with_duration, mean_bips, mean_duty};
-use dtm_core::{MigrationKind, PolicySpec, RotationMigration, Scope, ThrottleKind};
+use dtm_bench::{mean_bips, mean_duty};
+use dtm_core::{
+    Experiment, MigrationKind, PolicySpec, RotationMigration, RunResult, Scope, ThrottleKind,
+};
+use dtm_dist::run_with_args;
+use dtm_harness::{SweepArgs, SweepSpec};
 use dtm_workloads::standard_workloads;
 
 fn main() {
-    let exp = experiment_with_duration(duration_arg());
-    let workloads = standard_workloads();
-
-    let mut rows: Vec<(String, Vec<dtm_core::RunResult>)> = Vec::new();
-
-    for (name, migration) in [
+    let args = SweepArgs::from_env();
+    let stop_go = |m| PolicySpec::new(ThrottleKind::StopGo, Scope::Distributed, m);
+    let informed = [
         ("no migration", MigrationKind::None),
         ("counter-based (Fig. 4)", MigrationKind::CounterBased),
         ("sensor-based (Fig. 6)", MigrationKind::SensorBased),
-    ] {
-        let policy = PolicySpec::new(ThrottleKind::StopGo, Scope::Distributed, migration);
-        let runs: Vec<_> = workloads
-            .iter()
-            .map(|w| exp.run(w, policy).expect("run"))
-            .collect();
-        rows.push((name.to_string(), runs));
-    }
+    ];
+    let spec = SweepSpec::standard(args.duration).policies(informed.map(|(_, m)| stop_go(m)));
+    let results = run_with_args(spec, &args).expect("sweep");
+    let mut rows: Vec<(&str, Vec<RunResult>)> = informed
+        .iter()
+        .map(|&(name, m)| (name, results.policy_runs(stop_go(m))))
+        .collect();
 
-    // Blind rotation: same stop-go substrate, custom policy.
-    let rotation_runs: Vec<_> = workloads
+    // Blind rotation: same stop-go substrate, custom migration policy.
+    let exp = Experiment::paper_defaults().with_sim(args.sim_config());
+    let rotation_runs = standard_workloads()
         .iter()
         .map(|w| {
-            let mut sim = exp
-                .build(
-                    w,
-                    PolicySpec::new(
-                        ThrottleKind::StopGo,
-                        Scope::Distributed,
-                        MigrationKind::CounterBased,
-                    ),
-                )
-                .expect("build");
+            let mut sim = exp.build(w, stop_go(MigrationKind::CounterBased))?;
             sim.set_migration_policy(Box::new(RotationMigration::new()));
-            sim.run().expect("run")
+            sim.run()
         })
-        .collect();
-    rows.insert(1, ("blind rotation".to_string(), rotation_runs));
+        .collect::<Result<Vec<_>, _>>()
+        .expect("run");
+    rows.insert(1, ("blind rotation", rotation_runs));
 
     let base = mean_bips(&rows[0].1);
     println!(
@@ -64,4 +61,5 @@ fn main() {
     }
     println!("\n(informed matching should beat blind rotation: rotation pays the same");
     println!(" penalties but sometimes parks a hot thread on an already-hot core)");
+    eprintln!("{}", results.summary());
 }

@@ -20,13 +20,14 @@
 //! 2%. Full and smoke runs write `results/ADAPTIVE_summary.json` and
 //! `results/ADAPTIVE_summary_smoke.json` respectively.
 
+use dtm_bench::smoke_runner;
 use dtm_core::{DtmConfig, GainScheduleConfig, PolicySpec, SimConfig};
 use dtm_dist::run_with_args;
 use dtm_explore::Score;
 use dtm_harness::codec::JsonCodec;
 use dtm_harness::json::Json;
-use dtm_harness::{ConfigVariant, Ledger, ResultCache, SweepArgs, SweepRunner, SweepSpec, Table};
-use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary, Workload};
+use dtm_harness::{ConfigVariant, SweepArgs, SweepSpec, Table};
+use dtm_workloads::{standard_workloads, Workload};
 
 const REPORT_PATH: &str = "results/ADAPTIVE_summary.json";
 const SMOKE_REPORT_PATH: &str = "results/ADAPTIVE_summary_smoke.json";
@@ -98,10 +99,7 @@ fn main() {
         let workloads: Vec<Workload> = standard_workloads().into_iter().take(2).collect();
         (SimConfig::fast_test(), workloads, SMOKE_REPORT_PATH)
     } else {
-        let sim = SimConfig {
-            duration: args.duration,
-            ..SimConfig::default()
-        };
+        let sim = args.sim_config();
         // The same four representative Table 4 mixes exp_explore's full
         // search evaluates on.
         let workloads: Vec<Workload> = standard_workloads()
@@ -115,27 +113,13 @@ fn main() {
 
     let axis = variant_axis();
     let policy = PolicySpec::best();
-    let mut spec = SweepSpec::new(workloads).policies([policy]);
-    for (i, (name, dtm)) in axis.iter().enumerate() {
-        let v = ConfigVariant::new(*name, sim.clone(), *dtm);
-        spec = if i == 0 {
-            spec.variant(v)
-        } else {
-            spec.add_variant(v)
-        };
-    }
+    let spec = SweepSpec::new(workloads).policies([policy]).variants(
+        axis.iter()
+            .map(|(name, dtm)| ConfigVariant::new(*name, sim.clone(), *dtm)),
+    );
 
     let results = if smoke {
-        let mut runner = SweepRunner::bare(TraceLibrary::new(TraceGenConfig::fast_test()))
-            .with_cache(Some(ResultCache::default_location()))
-            .with_ledger(Some(Ledger::default_location()));
-        if let Some(n) = args.workers {
-            runner = runner.with_workers(n);
-        }
-        if args.no_cache {
-            runner = runner.with_cache(None);
-        }
-        runner.run(spec).expect("smoke sweep")
+        smoke_runner(&args).run(spec).expect("smoke sweep")
     } else {
         // Distributable: adaptive schedules have a wire spelling, so
         // `--dist` shards these cells like any others.

@@ -5,39 +5,39 @@
 //! effectively donating thermal headroom through the shared package;
 //! migration can then steer hot threads toward whichever core currently
 //! has headroom. This experiment compares a homogeneous 4×1.0 chip with
-//! an asymmetric 2×1.0 + 2×0.7 chip under the two-loop policy.
+//! an asymmetric 2×1.0 + 2×0.7 chip under the two-loop policy; the two
+//! chips are `core_max_scale` variants of one sweep grid.
 
-use dtm_bench::duration_arg;
-use dtm_core::{DtmConfig, PolicySpec, SimConfig, ThermalTimingSim};
-use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary};
+use dtm_core::{DtmConfig, PolicySpec, SimConfig};
+use dtm_dist::run_with_args;
+use dtm_harness::{ConfigVariant, SweepArgs, SweepSpec};
+use dtm_workloads::standard_workloads;
 
 fn main() {
-    let duration = duration_arg();
-    let lib = TraceLibrary::new(TraceGenConfig::default()).with_disk_cache("target/trace-cache");
+    let args = SweepArgs::from_env();
+    let chips = [
+        ("homogeneous 4x1.0", vec![]),
+        ("asymmetric 2x1.0+2x0.7", vec![1.0, 1.0, 0.7, 0.7]),
+    ];
+    let policy = PolicySpec::best();
+    let spec = SweepSpec::new(standard_workloads().into_iter().take(6).collect())
+        .policies([policy])
+        .variants(chips.iter().map(|(label, ceilings)| {
+            let sim = SimConfig {
+                core_max_scale: ceilings.clone(),
+                ..args.sim_config()
+            };
+            ConfigVariant::new(*label, sim, DtmConfig::default())
+        }));
+    let results = run_with_args(spec, &args).expect("sweep");
 
     println!(
         "{:<14} {:<26} {:>7} {:>9} {:>9} {:>11}",
         "workload", "chip", "BIPS", "duty", "max temp", "migrations"
     );
-    for w in standard_workloads().iter().take(6) {
-        let traces: Vec<_> = w.resolve().iter().map(|b| lib.trace(b)).collect();
-        for (label, ceilings) in [
-            ("homogeneous 4x1.0", vec![]),
-            ("asymmetric 2x1.0+2x0.7", vec![1.0, 1.0, 0.7, 0.7]),
-        ] {
-            let cfg = SimConfig {
-                duration,
-                core_max_scale: ceilings,
-                ..SimConfig::default()
-            };
-            let mut sim = ThermalTimingSim::new(
-                cfg,
-                DtmConfig::default(),
-                PolicySpec::best(),
-                traces.clone(),
-            )
-            .expect("construct");
-            let r = sim.run().expect("run");
+    for (wi, w) in results.spec().workload_axis().iter().enumerate() {
+        for (label, _) in &chips {
+            let r = results.get_in(label, policy, wi);
             println!(
                 "{:<14} {:<26} {:>7.2} {:>8.1}% {:>8.1}C {:>11}",
                 w.id,
@@ -51,4 +51,5 @@ fn main() {
     }
     println!("\n(the asymmetric chip trades peak throughput for thermal headroom;");
     println!(" under duress the gap narrows as the hot cores were throttled anyway)");
+    eprintln!("{}", results.summary());
 }

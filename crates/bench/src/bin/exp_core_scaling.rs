@@ -1,49 +1,51 @@
 //! Extension experiment (§2.4's argument): "The more cores on the chip,
 //! the more potential performance is lost due to the single hotspot" —
 //! the global-vs-distributed gap should widen with core count.
+//!
+//! A sweep grid crosses every workload with every variant, and a
+//! workload runs one thread per core, so each core count is its own
+//! one-workload grid.
 
-use dtm_bench::duration_arg;
-use dtm_core::{
-    DtmConfig, MigrationKind, PolicySpec, Scope, SimConfig, ThermalTimingSim, ThrottleKind,
-};
-use dtm_workloads::{benchmark, TraceGenConfig, TraceLibrary};
+use dtm_core::{DtmConfig, MigrationKind, PolicySpec, Scope, SimConfig, ThrottleKind};
+use dtm_dist::run_with_args;
+use dtm_harness::{ConfigVariant, SweepArgs, SweepSpec};
+use dtm_workloads::Workload;
 
 fn main() {
-    let duration = duration_arg();
-    let lib = TraceLibrary::new(TraceGenConfig::default());
-    // One hot integer thread plus cooler companions, replicated to the
-    // core count: the paper's single-hotspot asymmetry scenario.
+    let args = SweepArgs::from_env();
+    // One hot integer thread plus cooler companions, one per core: the
+    // paper's single-hotspot asymmetry scenario.
     let names = [
         "gzip", "ammp", "swim", "equake", "art", "mgrid", "applu", "lucas",
     ];
+    let [global, dist] = [Scope::Global, Scope::Distributed]
+        .map(|s| PolicySpec::new(ThrottleKind::Dvfs, s, MigrationKind::None));
 
     println!(
         "{:>6} {:>14} {:>14} {:>18}",
         "cores", "global DVFS", "dist DVFS", "dist/global gain"
     );
     for cores in [2usize, 4, 8] {
-        let traces: Vec<_> = (0..cores)
-            .map(|i| lib.trace(&benchmark(names[i % names.len()])))
-            .collect();
-        let mut results = Vec::new();
-        for scope in [Scope::Global, Scope::Distributed] {
-            let cfg = SimConfig {
-                cores,
-                duration,
-                ..SimConfig::default()
-            };
-            let policy = PolicySpec::new(ThrottleKind::Dvfs, scope, MigrationKind::None);
-            let mut sim = ThermalTimingSim::new(cfg, DtmConfig::default(), policy, traces.clone())
-                .expect("construct");
-            results.push(sim.run().expect("run"));
-        }
+        let sim = SimConfig {
+            cores,
+            ..args.sim_config()
+        };
+        let spec = SweepSpec::new(vec![Workload::from_names(
+            format!("{cores}-core"),
+            &names[..cores],
+        )])
+        .policies([global, dist])
+        .variant(ConfigVariant::new("base", sim, DtmConfig::default()));
+        let results = run_with_args(spec, &args).expect("sweep");
+        let (g, d) = (results.get(global, 0).bips(), results.get(dist, 0).bips());
         println!(
             "{:>6} {:>9.2} BIPS {:>9.2} BIPS {:>17.2}x",
             cores,
-            results[0].bips(),
-            results[1].bips(),
-            results[1].bips() / results[0].bips()
+            g,
+            d,
+            d / g
         );
+        eprintln!("{}", results.summary());
     }
     println!("\n(the distributed advantage should grow with the core count)");
 }

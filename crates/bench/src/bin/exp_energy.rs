@@ -10,7 +10,8 @@
 
 use dtm_bench::mean_bips;
 use dtm_core::{mean, MigrationKind, PolicySpec, Scope, ThrottleKind};
-use dtm_harness::{run_standard, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{SweepArgs, SweepSpec, Table};
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -22,7 +23,7 @@ fn main() {
         PolicySpec::best(),
     ];
     let spec = SweepSpec::standard(args.duration).policies(policies);
-    let results = run_standard(spec, &args).expect("sweep");
+    let results = run_with_args(spec, &args).expect("sweep");
 
     let mut table = Table::new(["policy", "BIPS", "avg power", "energy", "EPI"]);
     for p in policies {

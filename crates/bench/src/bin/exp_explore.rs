@@ -27,13 +27,12 @@
 //! test-length traces) for CI and self-checks the determinism and
 //! resume contracts.
 
-use std::sync::Arc;
-
+use dtm_bench::smoke_runner;
 use dtm_core::{ObsHandle, PolicySpec, SimConfig};
-use dtm_dist::{DistConfig, RemoteBackend};
+use dtm_dist::apply_args;
 use dtm_explore::{standard_roster, ExploreReport, Explorer, SearchSpace};
-use dtm_harness::{Ledger, ResultCache, SweepArgs, SweepRunner, Table};
-use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary, Workload};
+use dtm_harness::{SweepArgs, SweepRunner, Table};
+use dtm_workloads::{standard_workloads, Workload};
 
 const JOURNAL_PATH: &str = "results/explore.jsonl";
 const REPORT_PATH: &str = "results/EXPLORE_pareto.json";
@@ -86,10 +85,7 @@ fn take_u64(argv: &mut Vec<String>, flag: &str) -> Option<u64> {
 }
 
 fn run_full(args: &SweepArgs, seed: u64, budget: usize, adaptive: bool) {
-    let sim = SimConfig {
-        duration: args.duration,
-        ..SimConfig::default()
-    };
+    let sim = args.sim_config();
     // Four representative Table 4 mixes (same subset exp_faults uses)
     // keep each full-fidelity evaluation at 4 cells.
     let workloads: Vec<Workload> = standard_workloads()
@@ -109,20 +105,7 @@ fn run_full(args: &SweepArgs, seed: u64, budget: usize, adaptive: bool) {
         (JOURNAL_PATH, REPORT_PATH)
     };
 
-    let mut runner = SweepRunner::paper_defaults()
-        .with_cache(if args.no_cache {
-            None
-        } else {
-            Some(ResultCache::default_location())
-        })
-        .with_ledger(Some(Ledger::default_location()));
-    if let Some(n) = args.workers {
-        runner = runner.with_workers(n);
-    }
-    if !args.dist_workers.is_empty() {
-        let cfg = DistConfig::from_args(args, SimConfig::default());
-        runner = runner.with_backend(Arc::new(RemoteBackend::new(cfg)) as Arc<_>);
-    }
+    let (runner, _) = apply_args(SweepRunner::paper_defaults(), args, SimConfig::default());
 
     let report = explore(
         &runner,
@@ -220,16 +203,7 @@ fn run_smoke(args: &SweepArgs, seed: u64, budget: usize) {
     ];
     let space = SearchSpace::paper(sim, policies);
 
-    let mut runner = SweepRunner::bare(TraceLibrary::new(TraceGenConfig::fast_test()))
-        .with_cache(if args.no_cache {
-            None
-        } else {
-            Some(ResultCache::default_location())
-        })
-        .with_ledger(Some(Ledger::default_location()));
-    if let Some(n) = args.workers {
-        runner = runner.with_workers(n);
-    }
+    let runner = smoke_runner(args);
 
     let report = explore(
         &runner,

@@ -14,14 +14,14 @@
 //! 2 scenarios at test-length traces) for CI: it appends exactly
 //! 12 ledger rows per invocation.
 
-use dtm_bench::{mean_bips, mean_duty};
+use dtm_bench::{mean_bips, mean_duty, smoke_runner};
 use dtm_core::{
     DtmConfig, FaultConfig, FaultEvent, FaultKind, FaultScenario, FaultTarget, MigrationKind,
     PolicySpec, RunResult, Scope, SimConfig, ThrottleKind, WatchdogConfig,
 };
 use dtm_dist::run_with_args;
-use dtm_harness::{ConfigVariant, Ledger, ResultCache, SweepArgs, SweepRunner, SweepSpec, Table};
-use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary};
+use dtm_harness::{ConfigVariant, SweepArgs, SweepSpec, Table};
+use dtm_workloads::standard_workloads;
 
 /// The scenario axis: what breaks at `0.2 × duration` (drift/spike
 /// windows scale with the run length too, so any duration exercises
@@ -145,10 +145,7 @@ fn main() {
         return;
     }
 
-    let sim = SimConfig {
-        duration: args.duration,
-        ..SimConfig::default()
-    };
+    let sim = args.sim_config();
     // Four representative Table 4 mixes keep the grid tractable:
     // 11 scenarios × 12 policies × 4 workloads = 528 cells.
     let workloads: Vec<_> = standard_workloads()
@@ -158,21 +155,16 @@ fn main() {
         .map(|(_, w)| w)
         .collect();
     let axis = fault_axis(args.duration);
-    let mut spec = SweepSpec::new(workloads).policies(PolicySpec::all());
-    // `variant` replaces the implicit fault-free `base` entry (the
-    // healthy numbers are exp_table8's job); the rest append.
-    for (i, (name, faults)) in axis.iter().enumerate() {
-        let v = ConfigVariant::new(*name, sim.clone(), DtmConfig::default())
-            .with_faults(faults.clone());
-        spec = if i == 0 {
-            spec.variant(v)
-        } else {
-            spec.add_variant(v)
-        };
-    }
+    // The fault axis replaces the implicit fault-free `base` variant
+    // (the healthy numbers are exp_table8's job).
+    let spec = SweepSpec::new(workloads)
+        .policies(PolicySpec::all())
+        .variants(axis.iter().map(|(name, faults)| {
+            ConfigVariant::new(*name, sim.clone(), DtmConfig::default()).with_faults(faults.clone())
+        }));
     // Distributable: `--dist host:port,...` shards the fault matrix
-    // across remote dtm-serve workers (cells whose fault scenario has
-    // no wire preset fall back to local execution automatically).
+    // across remote dtm-serve workers; the wire carries every fault
+    // schedule whole.
     let results = run_with_args(spec, &args).expect("sweep");
 
     // Table 1: every scenario under the paper's best policy.
@@ -248,16 +240,7 @@ fn run_smoke(args: &SweepArgs) {
         );
     let expected = spec.cells().len();
 
-    let mut runner = SweepRunner::bare(TraceLibrary::new(TraceGenConfig::fast_test()))
-        .with_cache(Some(ResultCache::default_location()))
-        .with_ledger(Some(Ledger::default_location()));
-    if let Some(n) = args.workers {
-        runner = runner.with_workers(n);
-    }
-    if args.no_cache {
-        runner = runner.with_cache(None);
-    }
-    let results = runner.run(spec).expect("smoke sweep");
+    let results = smoke_runner(args).run(spec).expect("smoke sweep");
 
     let mut table = Table::new([
         "scenario/policy",

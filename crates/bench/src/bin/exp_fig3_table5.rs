@@ -7,7 +7,8 @@
 
 use dtm_bench::{figure_label, mean_bips, mean_duty};
 use dtm_core::{MigrationKind, PolicySpec, Scope, ThrottleKind};
-use dtm_harness::{report, run_standard, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{report, SweepArgs, SweepSpec, Table};
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -22,7 +23,7 @@ fn main() {
         PolicySpec::new(ThrottleKind::Dvfs, Scope::Distributed, MigrationKind::None),
     ];
     let spec = SweepSpec::standard(args.duration).policies(policies);
-    let results = run_standard(spec, &args).expect("sweep");
+    let results = run_with_args(spec, &args).expect("sweep");
     let baseline = results.policy_runs(policies[1]); // distributed stop-go
 
     let mut fig3 = Table::new(["workload", "glob SG", "glob DVFS", "dist DVFS"])

@@ -5,13 +5,21 @@
 //! temperatures, and (b) the PI controller's frequency scale factor, over
 //! a window containing several migrations, annotated with the thread
 //! resident on the core.
+//!
+//! One run with per-step telemetry is not a sweep cell, so this binary
+//! steps it directly and uses only the duration of the shared flags
+//! (at least 0.1 s, so the window holds several migrations).
 
-use dtm_bench::{duration_arg, experiment_with_duration};
-use dtm_core::{MigrationKind, PolicySpec, Scope, ThrottleKind};
+use dtm_core::{Experiment, MigrationKind, PolicySpec, Scope, SimConfig, ThrottleKind};
+use dtm_harness::SweepArgs;
 use dtm_workloads::standard_workloads;
 
 fn main() {
-    let exp = experiment_with_duration(duration_arg().max(0.1));
+    let args = SweepArgs::from_env();
+    let exp = Experiment::paper_defaults().with_sim(SimConfig {
+        duration: args.duration.max(0.1),
+        ..SimConfig::default()
+    });
     let workload = &standard_workloads()[6]; // gzip-twolf-ammp-lucas
     let policy = PolicySpec::new(
         ThrottleKind::Dvfs,

@@ -4,7 +4,8 @@
 
 use dtm_bench::figure_label;
 use dtm_core::{MigrationKind, PolicySpec, Scope, ThrottleKind};
-use dtm_harness::{report, run_standard, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{report, SweepArgs, SweepSpec, Table};
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -14,7 +15,7 @@ fn main() {
         dvfs(MigrationKind::CounterBased),
         dvfs(MigrationKind::SensorBased),
     ]);
-    let results = run_standard(spec, &args).expect("sweep");
+    let results = run_with_args(spec, &args).expect("sweep");
     let plain = results.policy_runs(dvfs(MigrationKind::None));
     let counter = results.policy_runs(dvfs(MigrationKind::CounterBased));
     let sensor = results.policy_runs(dvfs(MigrationKind::SensorBased));

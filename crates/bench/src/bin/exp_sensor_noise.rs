@@ -5,8 +5,10 @@
 
 use dtm_bench::{mean_bips, mean_duty};
 use dtm_core::{DtmConfig, PolicySpec, SimConfig};
-use dtm_harness::{run_standard, ConfigVariant, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{ConfigVariant, SweepArgs, SweepSpec, Table};
 use dtm_thermal::SensorSpec;
+use dtm_workloads::standard_workloads;
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -40,21 +42,16 @@ fn main() {
 
     // One configuration variant per sensor model, swept over the full
     // Table 4 workload set under the paper's best policy.
-    let mut spec = SweepSpec::standard(args.duration).policies([PolicySpec::best()]);
-    for (i, (name, sensor)) in cases.iter().enumerate() {
-        let sim = SimConfig {
-            duration: args.duration,
-            sensor: *sensor,
-            ..SimConfig::default()
-        };
-        let v = ConfigVariant::new(*name, sim, DtmConfig::default());
-        spec = if i == 0 {
-            spec.variant(v)
-        } else {
-            spec.add_variant(v)
-        };
-    }
-    let results = run_standard(spec, &args).expect("sweep");
+    let spec = SweepSpec::new(standard_workloads())
+        .policies([PolicySpec::best()])
+        .variants(cases.iter().map(|&(name, sensor)| {
+            let sim = SimConfig {
+                sensor,
+                ..args.sim_config()
+            };
+            ConfigVariant::new(name, sim, DtmConfig::default())
+        }));
+    let results = run_with_args(spec, &args).expect("sweep");
 
     let mut table = Table::new([
         "sensor model (dist. DVFS)",

@@ -13,38 +13,12 @@
 //! parallelized like every other table.
 
 use dtm_core::{unconstrained_single_core, PolicySpec};
-use dtm_harness::{run_standard, ConfigVariant, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{ConfigVariant, SweepArgs, SweepSpec, Table};
 use dtm_workloads::{all_benchmarks, Workload};
 
-/// Whether `argv` already carries a positional duration (anything that
-/// parses as a float and is not a `--workers`/`-j` value).
-fn has_positional_duration(argv: &[String]) -> bool {
-    let mut it = argv.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workers" | "-j" => {
-                it.next();
-            }
-            s => {
-                if s.parse::<f64>().is_ok() {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
 fn main() {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    // This table's historical default is a 0.3 s run — long enough for
-    // one unconstrained core to reach steady state — not the sweep
-    // default of 0.5 s.
-    if !has_positional_duration(&argv) {
-        argv.push("0.3".to_string());
-    }
-    let args = SweepArgs::parse(argv);
-
+    let args = SweepArgs::from_env();
     let (sim, dtm) = unconstrained_single_core(args.duration);
     let workloads: Vec<Workload> = all_benchmarks()
         .iter()
@@ -53,7 +27,7 @@ fn main() {
     let spec = SweepSpec::new(workloads)
         .policies([PolicySpec::baseline()])
         .variant(ConfigVariant::new("unconstrained-1core", sim, dtm));
-    let results = run_standard(spec, &args).expect("sweep");
+    let results = run_with_args(spec, &args).expect("sweep");
 
     let mut rows = Vec::new();
     for (wi, b) in all_benchmarks().into_iter().enumerate() {

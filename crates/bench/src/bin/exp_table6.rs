@@ -5,7 +5,8 @@
 
 use dtm_bench::{mean_bips, mean_duty};
 use dtm_core::{MigrationKind, PolicySpec, Scope, ThrottleKind};
-use dtm_harness::{report, run_standard, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{report, SweepArgs, SweepSpec, Table};
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -21,7 +22,7 @@ fn main() {
             PolicySpec::new(t, s, MigrationKind::CounterBased),
         ]
     }));
-    let results = run_standard(spec, &args).expect("sweep");
+    let results = run_with_args(spec, &args).expect("sweep");
     let base_bips = mean_bips(&results.policy_runs(PolicySpec::baseline()));
 
     let mut table = Table::new(["policy", "BIPS", "duty", "relative", "vs non-migr."])

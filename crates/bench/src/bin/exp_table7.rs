@@ -4,7 +4,8 @@
 
 use dtm_bench::{mean_bips, mean_duty};
 use dtm_core::{MigrationKind, PolicySpec, Scope, ThrottleKind};
-use dtm_harness::{report, run_standard, SweepArgs, SweepSpec, Table};
+use dtm_dist::run_with_args;
+use dtm_harness::{report, SweepArgs, SweepSpec, Table};
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -16,7 +17,7 @@ fn main() {
     ];
     // Needs every migration flavor of every combo: the full Table 2 set.
     let spec = SweepSpec::standard(args.duration).policies(PolicySpec::all());
-    let results = run_standard(spec, &args).expect("sweep");
+    let results = run_with_args(spec, &args).expect("sweep");
     let base_bips = mean_bips(&results.policy_runs(PolicySpec::baseline()));
 
     let mut table = Table::new([

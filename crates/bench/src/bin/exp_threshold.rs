@@ -3,8 +3,10 @@
 //! relative performance tradeoffs remain as presented.
 
 use dtm_bench::{mean_bips, mean_duty};
-use dtm_core::{DtmConfig, MigrationKind, PolicySpec, Scope, SimConfig, ThrottleKind};
-use dtm_harness::{report, run_standard, ConfigVariant, SweepArgs, SweepSpec, Table};
+use dtm_core::{DtmConfig, MigrationKind, PolicySpec, Scope, ThrottleKind};
+use dtm_dist::run_with_args;
+use dtm_harness::{report, ConfigVariant, SweepArgs, SweepSpec, Table};
+use dtm_workloads::standard_workloads;
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -14,26 +16,16 @@ fn main() {
         PolicySpec::new(ThrottleKind::Dvfs, Scope::Global, MigrationKind::None),
         PolicySpec::new(ThrottleKind::Dvfs, Scope::Distributed, MigrationKind::None),
     ];
-    let sim = SimConfig {
-        duration: args.duration,
-        ..SimConfig::default()
-    };
+    let sim = args.sim_config();
     // Two points on the configuration axis: the study threshold and the
     // §5.3 sensitivity threshold.
     let variants = [("threshold=84.2", 84.2), ("threshold=100", 100.0)];
-    let spec = SweepSpec::standard(args.duration)
+    let spec = SweepSpec::new(standard_workloads())
         .policies(policies)
-        .variant(ConfigVariant::new(
-            variants[0].0,
-            sim.clone(),
-            DtmConfig::with_threshold(variants[0].1),
-        ))
-        .add_variant(ConfigVariant::new(
-            variants[1].0,
-            sim,
-            DtmConfig::with_threshold(variants[1].1),
-        ));
-    let results = run_standard(spec, &args).expect("sweep");
+        .variants(variants.map(|(name, threshold)| {
+            ConfigVariant::new(name, sim.clone(), DtmConfig::with_threshold(threshold))
+        }));
+    let results = run_with_args(spec, &args).expect("sweep");
 
     let mut table = Table::new(["policy", "duty @84.2C", "duty @100C", "Δ (pp)"])
         .with_title("§5.3: duty-cycle sensitivity to the threshold");

@@ -1,20 +1,8 @@
 //! Shared experiment-driver utilities for the table/figure reproductions.
 
-use dtm_core::{Experiment, PolicySpec, RunResult, SimError};
-use dtm_workloads::{standard_workloads, Workload};
-
-/// Runs every standard workload under one policy, returning results in
-/// Table 4 order.
-///
-/// # Errors
-///
-/// Propagates the first simulation failure.
-pub fn run_all_workloads(exp: &Experiment, policy: PolicySpec) -> Result<Vec<RunResult>, SimError> {
-    standard_workloads()
-        .iter()
-        .map(|w| exp.run(w, policy))
-        .collect()
-}
+use dtm_core::{RunResult, SimConfig};
+use dtm_harness::{Ledger, ResultCache, SweepArgs, SweepRunner};
+use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
 
 /// Formats a workload the way the paper's figures label them:
 /// `gzip-twolf-ammp-lucas (IIFF)`.
@@ -32,33 +20,21 @@ pub fn mean_duty(results: &[RunResult]) -> f64 {
     dtm_core::mean(&results.iter().map(|r| r.duty_cycle).collect::<Vec<_>>())
 }
 
-/// Parses the run duration (seconds of silicon time) from the first CLI
-/// argument, defaulting to the study's 0.5 s.
-pub fn duration_arg() -> f64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5)
-}
-
-/// Builds the standard experiment context with a chosen run duration.
-pub fn experiment_with_duration(duration: f64) -> Experiment {
-    use dtm_core::{DtmConfig, SimConfig};
-    use dtm_workloads::{TraceGenConfig, TraceLibrary};
-    let sim = SimConfig {
-        duration,
-        ..SimConfig::default()
-    };
-    Experiment::new(
-        TraceLibrary::new(TraceGenConfig::default()).with_disk_cache("target/trace-cache"),
-        sim,
-        DtmConfig::default(),
-    )
+/// The runner of the CI smoke grids (`--smoke`): test-length traces,
+/// the default result cache and ledger, no progress output, and the
+/// shared flags applied by [`dtm_dist::apply_args`]. `--dist` expects
+/// a fleet started with `--fast-traces`.
+pub fn smoke_runner(args: &SweepArgs) -> SweepRunner {
+    let runner = SweepRunner::bare(TraceLibrary::new(TraceGenConfig::fast_test()))
+        .with_cache(Some(ResultCache::default_location()))
+        .with_ledger(Some(Ledger::default_location()));
+    dtm_dist::apply_args(runner, args, SimConfig::fast_test()).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtm_workloads::standard_workloads;
 
     #[test]
     fn figure_label_format() {

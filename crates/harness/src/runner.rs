@@ -615,30 +615,6 @@ impl SweepRunner {
     }
 }
 
-/// Convenience: run `spec` with the standard experiment configuration
-/// (see [`SweepRunner::paper_defaults`]) and the worker-count/output
-/// flags from [`crate::cli::SweepArgs`].
-///
-/// # Errors
-///
-/// Propagates the first simulation failure.
-pub fn run_standard(
-    spec: SweepSpec,
-    args: &crate::cli::SweepArgs,
-) -> Result<SweepResults, SimError> {
-    let mut runner = SweepRunner::paper_defaults();
-    if let Some(n) = args.workers {
-        runner = runner.with_workers(n);
-    }
-    if let Some(n) = args.lanes {
-        runner = runner.with_lanes(n);
-    }
-    if args.no_cache {
-        runner = runner.with_cache(None);
-    }
-    runner.run(spec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
