@@ -107,9 +107,7 @@ pub use dtm_obs::{Counter, Gauge, Histogram, ObsHandle};
 pub use dtm_thermal::SolverBackend;
 pub use engine::{SimError, ThermalTimingSim, ENGINE_PHASES};
 pub use init_memo::bind_init_memo_obs;
-pub use metrics::{
-    geometric_mean, mean, GainStats, PhaseNs, PhaseProfile, Robustness, RunResult, ThreadStats,
-};
+pub use metrics::{mean, GainStats, PhaseNs, PhaseProfile, Robustness, RunResult, ThreadStats};
 pub use migration::{
     CounterMigration, MigrationPolicy, NoMigration, OsObservation, RotationMigration,
     SensorMigration, ThreadCounters, HOTSPOT_FP, HOTSPOT_INT,

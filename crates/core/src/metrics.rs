@@ -211,25 +211,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Geometric mean of a slice of positive values.
-///
-/// # Panics
-///
-/// Panics if any value is non-positive.
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values
-        .iter()
-        .map(|&v| {
-            assert!(v > 0.0, "geometric mean requires positive values");
-            v.ln()
-        })
-        .sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,17 +269,9 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_geomean() {
+    fn mean_of_values() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert!((geometric_mean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(geometric_mean(&[]), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn geomean_rejects_nonpositive() {
-        geometric_mean(&[1.0, 0.0]);
     }
 
     #[test]
