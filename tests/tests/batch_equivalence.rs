@@ -11,7 +11,10 @@
 //! 1. whole-`RunResult` byte identity between `--lanes 1` and every
 //!    batched width (2, 3, 8 — including ragged final batches), over a
 //!    sweep mixing policies, fault scenarios, solver backends, and
-//!    durations (lanes retire mid-batch) in the same lane group;
+//!    durations (lanes retire mid-batch) in the same lane group, and
+//!    over the grid shapes of the experiment binaries (asymmetric
+//!    chips, migration intervals, an unconstrained limit, a package
+//!    without the fast mode, 2- and 8-core chips);
 //! 2. solver-level lockstep equality for the lumped model at every
 //!    lane count around the [`LANE_BLOCK`] boundary;
 //! 3. byte-identical `results/cache/` contents between lane widths.
@@ -68,39 +71,113 @@ fn mixed_spec() -> SweepSpec {
     ])
 }
 
+/// The configuration axes the experiment binaries sweep, at test scale:
+/// a homogeneous and an asymmetric (`core_max_scale`) chip, two
+/// migration intervals and an unconstrained `DtmConfig`, all in one
+/// lane group, plus a package without the sub-block fast mode, which
+/// forms a lane group of its own.
+fn experiment_axes_spec() -> SweepSpec {
+    let base = SimConfig {
+        duration: 0.03,
+        ..SimConfig::fast_test()
+    };
+    let asymmetric = SimConfig {
+        core_max_scale: vec![1.0, 1.0, 0.7, 0.7],
+        ..base.clone()
+    };
+    let no_fast_mode = SimConfig {
+        package: PackageConfig {
+            local_constriction: 0.0,
+            ..PackageConfig::default()
+        },
+        ..base.clone()
+    };
+    let interval = |ms: f64| DtmConfig {
+        migration_interval: ms * 1e-3,
+        ..DtmConfig::default()
+    };
+    let dtm = DtmConfig::default();
+    SweepSpec::new(vec![Workload::new("wa", ["gzip", "mcf", "gzip", "mcf"])])
+        .variants([
+            ConfigVariant::new("homogeneous", base.clone(), dtm),
+            ConfigVariant::new("asymmetric", asymmetric, dtm),
+            ConfigVariant::new("interval=2ms", base.clone(), interval(2.0)),
+            ConfigVariant::new("interval=5ms", base.clone(), interval(5.0)),
+            ConfigVariant::new("unconstrained", base, DtmConfig::unconstrained()),
+            ConfigVariant::new("no-fast-mode", no_fast_mode, dtm),
+        ])
+        .policies([
+            PolicySpec::best(),
+            PolicySpec::new(
+                ThrottleKind::StopGo,
+                Scope::Distributed,
+                MigrationKind::CounterBased,
+            ),
+        ])
+}
+
+/// A one-workload grid on a `cores`-core chip under global and
+/// distributed DVFS: one core count of the core-scaling experiment.
+fn core_count_spec(cores: usize) -> SweepSpec {
+    let names = [
+        "gzip", "ammp", "swim", "equake", "art", "mgrid", "applu", "lucas",
+    ];
+    let sim = SimConfig {
+        cores,
+        duration: 0.03,
+        ..SimConfig::fast_test()
+    };
+    SweepSpec::new(vec![Workload::from_names(
+        format!("{cores}-core"),
+        &names[..cores],
+    )])
+    .variant(ConfigVariant::new("base", sim, DtmConfig::default()))
+    .policies(
+        [Scope::Global, Scope::Distributed]
+            .map(|s| PolicySpec::new(ThrottleKind::Dvfs, s, MigrationKind::None)),
+    )
+}
+
 // ---------------------------------------------------------------------
 // 1. Whole-RunResult byte identity across lane widths.
 // ---------------------------------------------------------------------
 
 #[test]
 fn every_lane_width_replays_the_scalar_sweep_byte_for_byte() {
-    let spec = mixed_spec();
-    let scalar = SweepRunner::bare(fast_lib())
-        .with_workers(2)
-        .with_lanes(1)
-        .run(spec.clone())
-        .expect("scalar sweep");
-    assert_eq!(scalar.executed(), 16);
-
-    // Width 8 packs the 12 groupable cells as one full batch plus a
-    // ragged 4-lane batch; width 3 as four exact batches; width 2 as
-    // six. The 4 backward-Euler cells run as scalar singletons in every
-    // case. All of them must reproduce the scalar bytes.
-    for lanes in [2usize, 3, 8] {
-        let batched = SweepRunner::bare(fast_lib())
+    // Widths 2, 3 and 8 pack each lane group into full and ragged
+    // batches (the mixed spec's 12 groupable cells fill one width-8
+    // batch plus a 4-lane one); its 4 backward-Euler cells run as
+    // scalar singletons at every width. All of them must reproduce the
+    // scalar bytes.
+    for spec in [
+        mixed_spec(),
+        experiment_axes_spec(),
+        core_count_spec(2),
+        core_count_spec(8),
+    ] {
+        let cells = spec.cells().len();
+        let scalar = SweepRunner::bare(fast_lib())
             .with_workers(2)
-            .with_lanes(lanes)
+            .with_lanes(1)
             .run(spec.clone())
-            .expect("batched sweep");
-        assert_eq!(batched.executed(), 16, "lanes={lanes}");
-        for (a, b) in scalar.outcomes().iter().zip(batched.outcomes()) {
-            assert_eq!(a.key, b.key, "lanes={lanes}: cache key changed");
-            assert_eq!(
-                result_to_json(&a.result).emit(),
-                result_to_json(&b.result).emit(),
-                "lanes={lanes}: result bytes diverged on key {:?}",
-                a.key
-            );
+            .expect("scalar sweep");
+        assert_eq!(scalar.executed(), cells);
+        for lanes in [2usize, 3, 8] {
+            let batched = SweepRunner::bare(fast_lib())
+                .with_workers(2)
+                .with_lanes(lanes)
+                .run(spec.clone())
+                .expect("batched sweep");
+            assert_eq!(batched.executed(), cells, "lanes={lanes}");
+            for (a, b) in scalar.outcomes().iter().zip(batched.outcomes()) {
+                assert_eq!(a.key, b.key, "lanes={lanes}: cache key changed");
+                assert_eq!(
+                    result_to_json(&a.result).emit(),
+                    result_to_json(&b.result).emit(),
+                    "lanes={lanes}: result bytes diverged on key {:?}",
+                    a.key
+                );
+            }
         }
     }
 }
