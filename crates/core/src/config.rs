@@ -155,7 +155,7 @@ impl Default for LeakageConfig {
             logic_density: dtm_power::DEFAULT_LOGIC_LEAKAGE,
             sram_density: dtm_power::DEFAULT_SRAM_LEAKAGE,
             t_ref: 45.0,
-            beta: (2.0f64).ln() / 40.0,
+            beta: std::f64::consts::LN_2 / 40.0,
         }
     }
 }

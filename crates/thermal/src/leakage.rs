@@ -9,7 +9,11 @@
 //! ```text
 //!   P_leak(T) = P_ref · exp(β · (T − T_ref))
 //! ```
+//!
+//! The exponential is this crate's [`crate::exp`], not the host's libm,
+//! so leakage power is the same on every host.
 
+use crate::exp::exp;
 use serde::{Deserialize, Serialize};
 
 /// Per-block exponential leakage model.
@@ -94,11 +98,15 @@ impl LeakageModel {
     /// unconstrained (no-DTM) runs numerically finite instead of
     /// diverging through thermal runaway.
     fn factor(&self, t: f64) -> f64 {
-        (self.beta * ((t - self.t_ref).min(150.0))).exp()
+        exp(self.beta * ((t - self.t_ref).min(150.0)))
     }
 
     /// Adds leakage at `temps` into an existing power vector, avoiding
-    /// allocation.
+    /// allocation. Each element gets `p · factor(t)`, bit for bit as
+    /// [`Self::power`] computes it. An AVX-512F build takes eight blocks
+    /// per step through the 512-bit [`crate::exp`] kernel, chosen at
+    /// compile time like `linalg::matmul_strided`'s; every other build
+    /// loops over the blocks.
     ///
     /// # Panics
     ///
@@ -106,8 +114,65 @@ impl LeakageModel {
     pub fn add_power(&self, temps: &[f64], power: &mut [f64]) {
         assert_eq!(temps.len(), self.p_ref.len());
         assert_eq!(power.len(), self.p_ref.len());
+        // SAFETY: this build targets AVX-512F (the `cfg`), so every CPU
+        // it runs on has the instructions `zmm::add_power` is compiled
+        // for.
+        #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+        unsafe {
+            zmm::add_power(self, temps, power)
+        };
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
         for ((w, &t), &p) in power.iter_mut().zip(temps).zip(&self.p_ref) {
             *w += p * self.factor(t);
+        }
+    }
+}
+
+/// The 512-bit leakage pass: per element the scalar pass's operations,
+/// `w + p · exp(β · min(t − T_ref, 150))`, on eight blocks per register.
+/// A ragged last block is read and written under a lane mask.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+mod zmm {
+    use super::LeakageModel;
+    use crate::exp::zmm::exp;
+    use std::arch::x86_64::{
+        _mm512_add_pd, _mm512_mask_storeu_pd, _mm512_maskz_loadu_pd, _mm512_min_pd, _mm512_mul_pd,
+        _mm512_set1_pd, _mm512_sub_pd,
+    };
+
+    /// [`LeakageModel::add_power`] over the model's blocks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temps` or `power` is shorter than the model.
+    #[target_feature(enable = "avx512f")]
+    pub(super) fn add_power(m: &LeakageModel, temps: &[f64], power: &mut [f64]) {
+        let n = m.p_ref.len();
+        let (temps, power) = (&temps[..n], &mut power[..n]);
+        let (beta, t_ref, cap) = (
+            _mm512_set1_pd(m.beta),
+            _mm512_set1_pd(m.t_ref),
+            _mm512_set1_pd(150.0),
+        );
+        for b in (0..n).step_by(8) {
+            let k = if n - b >= 8 {
+                0xff
+            } else {
+                (1u8 << (n - b)) - 1
+            };
+            // SAFETY: all three slices hold `n` elements, and the masked
+            // loads and store touch only elements `b + l < n`. Masked-off
+            // lanes are never accessed.
+            unsafe {
+                let t = _mm512_maskz_loadu_pd(k, temps.as_ptr().add(b));
+                let p = _mm512_maskz_loadu_pd(k, m.p_ref.as_ptr().add(b));
+                let w = _mm512_maskz_loadu_pd(k, power.as_ptr().add(b));
+                // `min` returns its second operand if either is NaN, as
+                // `f64::min` returns the non-NaN one.
+                let x = _mm512_mul_pd(beta, _mm512_min_pd(_mm512_sub_pd(t, t_ref), cap));
+                let w = _mm512_add_pd(w, _mm512_mul_pd(p, exp(x)));
+                _mm512_mask_storeu_pd(power.as_mut_ptr().add(b), k, w);
+            }
         }
     }
 }

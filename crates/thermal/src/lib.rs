@@ -38,6 +38,7 @@
 #![allow(clippy::needless_range_loop)]
 
 mod batch;
+pub mod exp;
 mod grid;
 mod leakage;
 pub mod linalg;

@@ -756,7 +756,7 @@ impl TransientSolver {
         let decay = match self.fast_decay {
             Some((bits, decay)) if bits == dt.to_bits() => decay,
             _ => {
-                let decay = (-dt / self.model.fast_tau).exp();
+                let decay = crate::exp::exp(-dt / self.model.fast_tau);
                 self.fast_decay = Some((dt.to_bits(), decay));
                 decay
             }
