@@ -79,7 +79,7 @@ impl SweepArgs {
     /// Parses from an explicit iterator, printing usage and exiting on
     /// a bad argument (status 2) or `--help` (status 0).
     pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        Self::try_parse(args).unwrap_or_else(|err| usage(&err))
+        Self::try_parse(args).unwrap_or_else(|err| usage(USAGE, &err))
     }
 
     /// Parses from an explicit iterator. An unknown flag, an unparsable
@@ -147,14 +147,19 @@ impl SweepArgs {
     }
 }
 
-fn usage(err: &str) -> ! {
+/// The sweep binaries' usage text.
+const USAGE: &str = "\
+usage: <exp> [DURATION_SECONDS] [--workers N | -j N] [--lanes N] [--json] [--no-cache]
+           [--dist host:port,...] [--dist-local N] [--dist-deadline S] [--dist-retries N]";
+
+/// Prints `err` (a [`SweepArgs::try_parse`] error) and `usage` to
+/// stderr, then exits: status 0 for `--help` (an empty `err`), 2 for
+/// anything else.
+pub fn usage(usage: &str, err: &str) -> ! {
     if !err.is_empty() {
         eprintln!("error: {err}\n");
     }
-    eprintln!(
-        "usage: <exp> [DURATION_SECONDS] [--workers N | -j N] [--lanes N] [--json] [--no-cache]\n\
-         \x20          [--dist host:port,...] [--dist-local N] [--dist-deadline S] [--dist-retries N]"
-    );
+    eprintln!("{usage}");
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }
 
