@@ -18,9 +18,9 @@
 //! **Retirement.** A lane stops stepping as soon as its simulated time
 //! reaches its configured duration; the rest of the batch continues.
 //! **Scalar thermal phase.** A batch of one, a batch whose `dt`s differ,
-//! or a group the kernel refuses (backward-Euler or latched fallback,
-//! mixed thermal configurations) steps each lane's solver on its own,
-//! with identical results.
+//! or a group the kernel refuses (the backward-Euler backend, mixed
+//! thermal configurations) steps each lane's solver on its own, with
+//! identical results.
 
 use crate::engine::{SimError, ThermalTimingSim};
 use crate::metrics::RunResult;

@@ -32,6 +32,16 @@ use std::time::{Duration, Instant};
 /// can tell coordinator-local workers (small ids) from remote ones.
 pub const REMOTE_WORKER_BASE: usize = 1000;
 
+/// Most requests one worker has in flight: each worker gets its
+/// advertised thread count, clamped to `[1, MAX_WINDOW]`.
+const MAX_WINDOW: usize = 8;
+
+/// Interval between liveness probes of the workers not yet dead.
+const HEARTBEAT: Duration = Duration::from_secs(1);
+
+/// TCP connect (and handshake read) timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct DistConfig {
@@ -47,15 +57,6 @@ pub struct DistConfig {
     pub retries: u32,
     /// Base retry backoff (doubles per attempt, no jitter).
     pub backoff: Duration,
-    /// Straggler age before speculative re-execution; `None` disables.
-    pub speculate_after: Option<Duration>,
-    /// TCP connect (and handshake read) timeout.
-    pub connect_timeout: Duration,
-    /// Heartbeat interval for liveness probing of idle-looking workers.
-    pub heartbeat: Duration,
-    /// Per-worker concurrent-request window override (default: the
-    /// worker's advertised thread count, clamped to [1, 8]).
-    pub window: Option<usize>,
     /// The base `SimConfig` every worker must be serving against
     /// (requests resolve relative to it on the server side).
     pub expected_base: SimConfig,
@@ -70,10 +71,6 @@ impl DistConfig {
             deadline: Duration::from_secs(30),
             retries: 2,
             backoff: Duration::from_millis(250),
-            speculate_after: Some(Duration::from_secs(10)),
-            connect_timeout: Duration::from_secs(2),
-            heartbeat: Duration::from_secs(1),
-            window: None,
             expected_base,
         }
     }
@@ -222,6 +219,40 @@ impl Emit<'_, '_> {
         }
     }
 
+    /// The one local loop, behind both the `--dist-local` threads and
+    /// the completeness fallback: runs each cell `next` yields alone,
+    /// as worker `wid` of the shared `LocalExec` (built on first use),
+    /// counts it in `count` and the obs counter `metric`, and emits it,
+    /// until `next` runs dry. A simulation error aborts the sweep.
+    fn run_local(
+        &self,
+        exec: &OnceLock<LocalExec>,
+        wid: usize,
+        count: &AtomicU64,
+        metric: &str,
+        mut next: impl FnMut() -> Option<usize>,
+    ) {
+        while let Some(id) = next() {
+            let exec = exec.get_or_init(|| LocalExec::new(self.ctx));
+            match exec.run_lane_batch(self.ctx, &[self.ctx.misses[id]], wid) {
+                Ok(mut one) => {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    if self.ctx.obs.is_enabled() {
+                        self.ctx.obs.counter(metric).inc();
+                    }
+                    if !self.local(id, one.remove(0)) {
+                        return;
+                    }
+                }
+                Err(e) => {
+                    let _ = self.tx.send(Err(e));
+                    self.sched.abort();
+                    return;
+                }
+            }
+        }
+    }
+
     fn duplicate(&self) -> bool {
         if self.ctx.obs.is_enabled() {
             self.ctx.obs.counter("dtm_dist_duplicate_total").inc();
@@ -263,7 +294,7 @@ enum Attempt {
 /// later exchange, so the lane redials instead of reusing it.
 fn attempt(client: &mut Option<Client>, addr: &str, cfg: &DistConfig, req: SimRequest) -> Attempt {
     if client.is_none() {
-        match Client::connect_timeout(addr, cfg.connect_timeout) {
+        match Client::connect_timeout(addr, CONNECT_TIMEOUT) {
             Ok(c) => *client = Some(c),
             Err(e) => {
                 return if e.kind() == io::ErrorKind::TimedOut {
@@ -310,8 +341,8 @@ fn handshake(
     cfg: &DistConfig,
     tracegen_dbg: &str,
 ) -> Result<ServerInfo, HandshakeError> {
-    let mut client = Client::connect_timeout(addr, cfg.connect_timeout)
-        .and_then(|c| c.with_read_timeout(cfg.connect_timeout))
+    let mut client = Client::connect_timeout(addr, CONNECT_TIMEOUT)
+        .and_then(|c| c.with_read_timeout(CONNECT_TIMEOUT))
         .map_err(HandshakeError::Unreachable)?;
     let info = client.ping_info().map_err(HandshakeError::Unreachable)?;
     let Some(info) = info else {
@@ -384,7 +415,7 @@ impl Backend for RemoteBackend {
         for (idx, addr) in cfg.workers.iter().enumerate() {
             match handshake(addr, cfg, &tracegen_dbg) {
                 Ok(info) => {
-                    let window = cfg.window.unwrap_or_else(|| info.workers.clamp(1, 8));
+                    let window = info.workers.clamp(1, MAX_WINDOW);
                     fleet.push(Worker::alive(addr.clone(), idx, window, info));
                 }
                 Err(HandshakeError::Mismatch(msg)) => {
@@ -413,7 +444,8 @@ impl Backend for RemoteBackend {
             DispatchConfig {
                 retries: cfg.retries,
                 backoff: cfg.backoff,
-                speculate_after: cfg.speculate_after,
+                // Stragglers are speculated on after the default 10 s.
+                ..DispatchConfig::default()
             },
         ));
         if pool.alive_count() == 0 {
@@ -429,7 +461,7 @@ impl Backend for RemoteBackend {
             .map(|w| w.window)
             .sum();
         let active_lanes = AtomicUsize::new(lanes_total);
-        let exec_cell: OnceLock<LocalExec> = OnceLock::new();
+        let exec: OnceLock<LocalExec> = OnceLock::new();
         let deadline_ms = cfg.deadline.as_millis() as u64;
         let on_worker_down = |w: &Worker| {
             if w.is_dead() && pool.alive_count() == 0 {
@@ -437,16 +469,18 @@ impl Backend for RemoteBackend {
             }
         };
 
+        let emitter = || Emit {
+            ctx,
+            sched: &sched,
+            tx: tx.clone(),
+        };
+
         std::thread::scope(|s| {
             // Dispatch lanes: `window` concurrent request streams per
             // living worker.
             for w in pool.workers.iter().filter(|w| !w.is_dead()) {
                 for _ in 0..w.window {
-                    let emit = Emit {
-                        ctx,
-                        sched: &sched,
-                        tx: tx.clone(),
-                    };
+                    let emit = emitter();
                     let requests = &requests;
                     let active_lanes = &active_lanes;
                     let sched = &sched;
@@ -602,7 +636,7 @@ impl Backend for RemoteBackend {
                     };
                     loop {
                         let mut slept = Duration::ZERO;
-                        while slept < cfg.heartbeat {
+                        while slept < HEARTBEAT {
                             if done() {
                                 return;
                             }
@@ -610,10 +644,8 @@ impl Backend for RemoteBackend {
                             slept += Duration::from_millis(50);
                         }
                         for w in pool.workers.iter().filter(|w| !w.is_dead()) {
-                            let alive = Client::connect_timeout(&w.addr, cfg.connect_timeout)
-                                .and_then(|mut c| {
-                                    c.call_deadline(&Request::Ping, cfg.connect_timeout)
-                                })
+                            let alive = Client::connect_timeout(&w.addr, CONNECT_TIMEOUT)
+                                .and_then(|mut c| c.call_deadline(&Request::Ping, CONNECT_TIMEOUT))
                                 .map(|r| matches!(r, Response::Pong { .. }))
                                 .unwrap_or(false);
                             if alive {
@@ -633,35 +665,16 @@ impl Backend for RemoteBackend {
             // inexpressible cells, and steal queued remote work when
             // idle.
             for t in 0..cfg.local_threads {
-                let emit = Emit {
-                    ctx,
-                    sched: &sched,
-                    tx: tx.clone(),
-                };
-                let sched = &sched;
-                let exec_cell = &exec_cell;
-                let local_cells = &local_cells;
+                let emit = emitter();
+                let (exec, local_cells) = (&exec, &local_cells);
                 s.spawn(move || {
-                    while let Some(id) = sched.acquire_local(true) {
-                        let exec = exec_cell.get_or_init(|| LocalExec::new(ctx));
-                        let cell = exec.run_lane_batch(ctx, &[ctx.misses[id]], t + 1);
-                        match cell.map(|mut one| one.remove(0)) {
-                            Ok(outcome) => {
-                                local_cells.fetch_add(1, Ordering::Relaxed);
-                                if obs.is_enabled() {
-                                    obs.counter("dtm_dist_local_cells_total").inc();
-                                }
-                                if !emit.local(id, outcome) {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = emit.tx.send(Err(e));
-                                sched.abort();
-                                break;
-                            }
-                        }
-                    }
+                    emit.run_local(
+                        exec,
+                        t + 1,
+                        local_cells,
+                        "dtm_dist_local_cells_total",
+                        || emit.sched.acquire_local(true),
+                    )
                 });
             }
         });
@@ -675,42 +688,26 @@ impl Backend for RemoteBackend {
             let subset: Vec<usize> = remaining.iter().map(|&id| ctx.misses[id]).collect();
             let nw = ctx.workers.min(subset.len()).max(1);
             ctx.prewarm(&subset, nw);
-            let exec = exec_cell.get_or_init(|| LocalExec::new(ctx));
             let next = AtomicUsize::new(0);
             std::thread::scope(|s| {
                 for wid in 1..=nw {
-                    let emit = Emit {
-                        ctx,
-                        sched: &sched,
-                        tx: tx.clone(),
-                    };
-                    let sched = &sched;
-                    let next = &next;
-                    let remaining = &remaining;
-                    let fallback_cells = &fallback_cells;
-                    s.spawn(move || loop {
-                        if sched.is_aborted() {
-                            break;
-                        }
-                        let j = next.fetch_add(1, Ordering::SeqCst);
-                        let Some(&id) = remaining.get(j) else { break };
-                        let cell = exec.run_lane_batch(ctx, &[ctx.misses[id]], wid);
-                        match cell.map(|mut one| one.remove(0)) {
-                            Ok(outcome) => {
-                                fallback_cells.fetch_add(1, Ordering::Relaxed);
-                                if obs.is_enabled() {
-                                    obs.counter("dtm_dist_fallback_cells_total").inc();
-                                }
-                                if !emit.local(id, outcome) {
-                                    break;
-                                }
-                            }
-                            Err(e) => {
-                                let _ = emit.tx.send(Err(e));
-                                sched.abort();
-                                break;
-                            }
-                        }
+                    let emit = emitter();
+                    let (exec, next, remaining, fallback_cells) =
+                        (&exec, &next, &remaining, &fallback_cells);
+                    s.spawn(move || {
+                        emit.run_local(
+                            exec,
+                            wid,
+                            fallback_cells,
+                            "dtm_dist_fallback_cells_total",
+                            || {
+                                let j = next.fetch_add(1, Ordering::SeqCst);
+                                remaining
+                                    .get(j)
+                                    .copied()
+                                    .filter(|_| !emit.sched.is_aborted())
+                            },
+                        )
                     });
                 }
             });

@@ -1,202 +1,55 @@
-//! `dtm_dist` — run a sweep grid across a fleet of `dtm-serve`
-//! workers.
+//! `dtm_dist` — the distributed backend's self-check against a live
+//! fleet.
 //!
 //! ```text
-//! dtm_dist --workers HOST:PORT[,HOST:PORT...] | --workers-file PATH
-//!          [DURATION] [--local-workers N] [--deadline S] [--retries N]
-//!          [--fast-traces] [--no-cache] [--json] [--smoke]
+//! dtm_dist --dist HOST:PORT[,HOST:PORT...]
 //! ```
 //!
-//! Default mode runs the full Table 8 grid (all 12 policies ×
-//! standard workloads) through the distributed backend, prints the
-//! policy table and the dispatch summary, and reports wall-clock time
-//! (the number the scaling measurement in `EXPERIMENTS.md` quotes).
-//!
-//! `--smoke` is the self-check CI runs: a small fast-config grid, one
-//! of whose variants carries a custom two-event fault schedule and a
-//! raised DVFS floor, is executed twice — locally and distributed —
-//! into separate throwaway caches and ledgers, then compared. Results
-//! must be bit-identical, ledger rows identical modulo timing fields,
-//! and no cell may be inexpressible on the wire; any failure exits
-//! non-zero. The dispatch summary is written to
+//! Runs [`dtm_dist::smoke_spec`]'s 12-cell grid on the fast-test
+//! configuration twice — locally, then distributed — into separate
+//! throwaway caches and ledgers, and compares the two. The workers must
+//! be `dtm_serve --fast-traces` processes; the handshake refuses any
+//! other fleet. One of the grid's variants carries a custom two-event
+//! fault schedule and a raised DVFS floor. Results must be
+//! bit-identical, ledger rows identical modulo timing fields, and no
+//! cell may be inexpressible on the wire; any failure exits 1. The
+//! verdict and the dispatch summary are written to
 //! `results/DIST_summary.json`.
+//!
+//! A distributed paper sweep is the sweep binary itself with `--dist`,
+//! as in `exp_table8 --dist HOST:PORT,...`.
 
-use dtm_core::{PolicySpec, SimConfig, SimError};
+use dtm_core::{SimConfig, SimError};
 use dtm_dist::{DistConfig, RemoteBackend};
 use dtm_harness::codec::result_to_json;
 use dtm_harness::json::Json;
-use dtm_harness::{Ledger, ResultCache, SweepResults, SweepRunner, SweepSpec};
+use dtm_harness::{cli, Ledger, ResultCache, SweepArgs, SweepResults, SweepRunner};
 use dtm_workloads::{TraceGenConfig, TraceLibrary};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}\n");
-    }
-    eprintln!(
-        "usage: dtm_dist --workers HOST:PORT[,...] | --workers-file PATH\n\
-         \x20      [DURATION] [--local-workers N] [--deadline S] [--retries N]\n\
-         \x20      [--fast-traces] [--no-cache] [--json] [--smoke]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
+const USAGE: &str = "\
+usage: dtm_dist --dist HOST:PORT[,HOST:PORT...]
+Runs the 12-cell self-check grid locally and on the fleet, whose
+workers run `dtm_serve --fast-traces`, and compares the results.";
 
-struct Args {
-    workers: Vec<String>,
-    local_workers: usize,
-    deadline: f64,
-    retries: u32,
-    duration: f64,
-    fast_traces: bool,
-    no_cache: bool,
-    json: bool,
-    smoke: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        workers: Vec::new(),
-        local_workers: 0,
-        deadline: 30.0,
-        retries: 2,
-        duration: 0.5,
-        fast_traces: false,
-        no_cache: false,
-        json: false,
-        smoke: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--workers" => match args.next() {
-                Some(list) => {
-                    for entry in list.split(',') {
-                        if entry.trim().is_empty() {
-                            usage(&format!("--workers list `{list}` contains an empty entry"));
-                        }
-                        out.workers.push(entry.trim().to_string());
-                    }
-                }
-                None => usage("--workers requires host:port[,host:port...]"),
-            },
-            "--workers-file" => match args.next() {
-                Some(path) => match std::fs::read_to_string(&path) {
-                    Ok(text) => out.workers.extend(
-                        text.lines()
-                            .map(str::trim)
-                            .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                            .map(String::from),
-                    ),
-                    Err(e) => usage(&format!("cannot read {path}: {e}")),
-                },
-                None => usage("--workers-file requires a path"),
-            },
-            "--local-workers" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => out.local_workers = n,
-                None => usage("--local-workers requires an integer"),
-            },
-            "--deadline" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                Some(d) if d > 0.0 => out.deadline = d,
-                _ => usage("--deadline requires positive seconds"),
-            },
-            "--retries" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(n) => out.retries = n,
-                None => usage("--retries requires an integer"),
-            },
-            "--fast-traces" => out.fast_traces = true,
-            "--no-cache" => out.no_cache = true,
-            "--json" => out.json = true,
-            "--smoke" => out.smoke = true,
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(d) if d > 0.0 => out.duration = d,
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
+/// The fleet, read by the sweep binaries' `--dist` parser. Any other
+/// flag, or no `--dist`, prints the usage and exits 2; `--help` prints
+/// it and exits 0.
+fn parse_args() -> SweepArgs {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args =
+        SweepArgs::try_parse(argv.iter().cloned()).unwrap_or_else(|err| cli::usage(USAGE, &err));
+    if let Some(flag) = argv.iter().step_by(2).find(|a| *a != "--dist") {
+        cli::usage(
+            USAGE,
+            &format!("`{flag}` is not accepted; dtm_dist takes only --dist"),
+        );
     }
-    if out.workers.is_empty() {
-        usage("at least one worker is required (--workers or --workers-file)");
+    if args.dist_workers.is_empty() {
+        cli::usage(USAGE, "--dist is required");
     }
-    if let Err(e) = dtm_dist::validate_workers(&out.workers) {
-        usage(&format!("{e:?}"));
-    }
-    out
-}
-
-/// The coordinator's view of the fleet's configuration: base sim and
-/// trace generation must match what the workers were started with
-/// (the handshake verifies this).
-fn fleet_config(args: &Args) -> (SimConfig, TraceGenConfig) {
-    if args.fast_traces {
-        (SimConfig::fast_test(), TraceGenConfig::fast_test())
-    } else {
-        (SimConfig::default(), TraceGenConfig::default())
-    }
-}
-
-fn dist_config(args: &Args, expected_base: SimConfig) -> DistConfig {
-    let mut cfg = DistConfig::new(args.workers.clone(), expected_base);
-    cfg.local_threads = args.local_workers;
-    cfg.deadline = Duration::from_secs_f64(args.deadline);
-    cfg.retries = args.retries;
-    cfg
-}
-
-fn main() {
-    let args = parse_args();
-    if args.smoke {
-        smoke(&args);
-        return;
-    }
-
-    let (base_sim, tracegen) = fleet_config(&args);
-    let mut sim = base_sim.clone();
-    sim.duration = args.duration;
-    let spec = SweepSpec::new(dtm_workloads::standard_workloads())
-        .variant(dtm_harness::ConfigVariant::new(
-            "dist",
-            sim,
-            dtm_core::DtmConfig::default(),
-        ))
-        .policies(PolicySpec::all());
-
-    let backend = Arc::new(RemoteBackend::new(dist_config(&args, base_sim)));
-    let mut runner = SweepRunner::paper_defaults().with_backend(backend.clone() as Arc<_>);
-    if args.fast_traces {
-        runner = SweepRunner::bare_shared(Arc::new(TraceLibrary::new(tracegen)))
-            .with_cache(Some(ResultCache::default_location()))
-            .with_ledger(Some(Ledger::default_location()))
-            .with_backend(backend.clone() as Arc<_>);
-    }
-    if args.no_cache {
-        runner = runner.with_cache(None);
-    }
-
-    let t0 = Instant::now();
-    let results = match runner.run(spec) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("dtm_dist: sweep failed: {e:?}");
-            std::process::exit(1);
-        }
-    };
-    let wall = t0.elapsed();
-    if let Some(summary) = backend.take_summary() {
-        if args.json {
-            println!("{}", summary.to_json().emit());
-        } else {
-            println!("{}", summary.render());
-        }
-    }
-    println!(
-        "dtm_dist: {} cells ({} executed, {} cached) in {:.2}s",
-        results.outcomes().len(),
-        results.executed(),
-        results.cache_hits(),
-        wall.as_secs_f64()
-    );
+    args
 }
 
 /// Canonical per-cell result bytes, in cell order.
@@ -231,8 +84,9 @@ fn sorted_normalized_ledger(path: &PathBuf) -> Vec<String> {
     rows
 }
 
-fn smoke(args: &Args) {
-    let (base_sim, tracegen) = fleet_config(args);
+fn main() {
+    let args = parse_args();
+    let (base_sim, tracegen) = (SimConfig::fast_test(), TraceGenConfig::fast_test());
     let spec = || dtm_dist::smoke_spec(&base_sim);
 
     let scratch = std::env::temp_dir().join(format!("dtm-dist-smoke-{}", std::process::id()));
@@ -260,9 +114,12 @@ fn smoke(args: &Args) {
     };
     eprintln!(
         "dtm_dist: smoke — distributed across {} worker(s)…",
-        args.workers.len()
+        args.dist_workers.len()
     );
-    let backend = Arc::new(RemoteBackend::new(dist_config(args, base_sim.clone())));
+    let backend = Arc::new(RemoteBackend::new(DistConfig::from_args(
+        &args,
+        base_sim.clone(),
+    )));
     let (dist, dist_ledger) = match run("dist", Some(backend.clone())) {
         Ok(v) => v,
         Err(e) => {

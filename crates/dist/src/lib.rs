@@ -36,9 +36,10 @@
 //!   statistics and cache-tier attribution, alongside `dtm_dist_*`
 //!   obs counters, gauges, and histograms.
 //!
-//! Binaries: `dtm_worker` (a `dtm-serve` server with isolation flags
-//! for cache/ledger paths) and `dtm_dist` (runs a grid against a
-//! fleet; `--smoke` self-checks distributed-vs-local bit-identity).
+//! Binaries: `dtm_serve` (the `dtm-serve` server, the one process a
+//! fleet worker runs; cache and ledger off unless given paths) and
+//! `dtm_dist` (self-checks distributed-vs-local bit-identity against a
+//! fleet). A distributed paper sweep is a sweep binary with `--dist`.
 
 pub mod backend;
 pub mod dispatch;
@@ -109,7 +110,7 @@ pub fn run_with_args(spec: SweepSpec, args: &SweepArgs) -> Result<SweepResults, 
     Ok(results)
 }
 
-/// The grid `dtm_dist --smoke` runs on `base`: three workloads × the
+/// The grid `dtm_dist` self-checks on `base`: three workloads × the
 /// baseline and best policies × two variants. The second carries a
 /// custom two-event fault schedule (a drift plus a permanent stuck DVFS
 /// level) under a raised DVFS floor, configs the wire carries whole.

@@ -1,4 +1,4 @@
-//! End-to-end distributed execution tests: real `dtm_worker`
+//! End-to-end distributed execution tests: real `dtm_serve`
 //! processes on ephemeral ports, a worker killed mid-sweep, and the
 //! headline invariant — a distributed sweep produces bit-identical
 //! results, cache contents, and ledger rows (modulo timing fields) to
@@ -52,20 +52,20 @@ fn grid() -> SweepSpec {
     ])
 }
 
-/// Spawns a real `dtm_worker` process on an ephemeral port and waits
+/// Spawns a real `dtm_serve` process on an ephemeral port and waits
 /// for it to report the bound port via `--port-file`.
 // Every caller kills and waits the returned child before returning.
 #[allow(clippy::zombie_processes)]
 fn spawn_worker(dir: &Path, tag: &str) -> (Child, String) {
     let port_file = dir.join(format!("port-{tag}"));
-    let child = Command::new(env!("CARGO_BIN_EXE_dtm_worker"))
+    let child = Command::new(env!("CARGO_BIN_EXE_dtm_serve"))
         .args(["--addr", "127.0.0.1:0", "--workers", "2", "--fast-traces"])
         .arg("--port-file")
         .arg(&port_file)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn dtm_worker");
+        .expect("spawn dtm_serve");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if let Ok(text) = std::fs::read_to_string(&port_file) {

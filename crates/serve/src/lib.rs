@@ -7,8 +7,7 @@
 //! `std::net::TcpListener` and the harness's own JSON model:
 //!
 //! - **Protocol** ([`protocol`]): length-prefixed JSON frames; verbs
-//!   `simulate`, `metrics` (Prometheus text; `GET /metrics` accepted as
-//!   an alias), `ping`, `shutdown`.
+//!   `simulate`, `metrics` (Prometheus text), `ping`, `shutdown`.
 //! - **Requests** ([`request`]): a [`SimRequest`] names a workload (or
 //!   an explicit benchmark tuple), a policy in wire spelling, optional
 //!   duration, core-count and seed overrides, and optionally the whole
@@ -32,9 +31,10 @@
 //!   queue-depth gauge, and latency histograms, all dumped via the
 //!   `metrics` verb.
 //!
-//! The companion binaries are `dtm_serve` (this crate) and
-//! `dtm_loadgen` (in `dtm-bench`), which drives a server at a fixed
-//! arrival rate and writes `results/BENCH_serve.json`.
+//! The server binary, `dtm_serve`, lives in `dtm-dist`, whose
+//! integration tests spawn it as a fleet worker. `dtm_loadgen` (in
+//! `dtm-bench`) drives a server at a fixed arrival rate and writes
+//! `results/BENCH_serve.json`.
 
 pub mod client;
 pub mod protocol;

@@ -89,50 +89,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&buf)
 }
 
-/// Reads one frame from a blocking stream.
-///
-/// Returns `Ok(None)` on a clean EOF *at a frame boundary* (the peer
-/// hung up between requests); EOF mid-frame is an error. Only suitable
-/// for sockets without read timeouts — the server side uses
-/// [`FrameReader`], which survives timeouts with partial bytes buffered.
-///
-/// # Errors
-///
-/// Propagates I/O errors; rejects length prefixes over [`MAX_FRAME`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    // First byte by hand so a boundary EOF is distinguishable from a
-    // torn header.
-    let mut first = [0u8; 1];
-    loop {
-        match r.read(&mut first) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    len[0] = first[0];
-    r.read_exact(&mut len[1..]).map_err(truncation)?;
-    let n = u32::from_be_bytes(len);
-    if n > MAX_FRAME {
-        return Err(ProtocolError::oversize(u64::from(n)));
-    }
-    let mut payload = vec![0u8; n as usize];
-    r.read_exact(&mut payload).map_err(truncation)?;
-    Ok(Some(payload))
-}
-
-/// Maps a mid-frame `UnexpectedEof` onto the typed
-/// [`ProtocolError::Truncated`]; other I/O errors pass through.
-fn truncation(e: io::Error) -> io::Error {
-    if e.kind() == io::ErrorKind::UnexpectedEof {
-        ProtocolError::truncated()
-    } else {
-        e
-    }
-}
-
 /// Outcome of one [`FrameReader::read`] attempt.
 #[derive(Debug)]
 pub enum ReadOutcome {
@@ -266,10 +222,7 @@ impl Request {
             .map_err(|_| "request has no string `verb` field".to_string())?;
         match verb {
             "simulate" => Ok(Request::Simulate(Box::new(SimRequest::from_json(&json)?))),
-            // `GET /metrics` is accepted as a verb spelling so that
-            // scrape configs written against HTTP exporters port over
-            // with only a framing shim.
-            "metrics" | "GET /metrics" => Ok(Request::Metrics),
+            "metrics" => Ok(Request::Metrics),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown verb `{other}`")),
@@ -467,6 +420,11 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Reads one frame from a fresh `FrameReader` over `wire`.
+    fn read_one(wire: Vec<u8>) -> io::Result<ReadOutcome> {
+        FrameReader::new().read(&mut Cursor::new(wire))
+    }
+
     #[test]
     fn frames_round_trip_back_to_back() {
         let mut wire = Vec::new();
@@ -474,10 +432,17 @@ mod tests {
         write_frame(&mut wire, b"").unwrap();
         write_frame(&mut wire, b"beta-gamma").unwrap();
         let mut r = Cursor::new(wire);
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"alpha");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"beta-gamma");
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        let mut fr = FrameReader::new();
+        for want in [&b"alpha"[..], b"", b"beta-gamma"] {
+            match fr.read(&mut r).unwrap() {
+                ReadOutcome::Frame(p) => assert_eq!(p, want),
+                other => panic!("expected a frame, got {other:?}"),
+            }
+        }
+        assert!(
+            matches!(fr.read(&mut r).unwrap(), ReadOutcome::Eof),
+            "clean EOF"
+        );
     }
 
     #[test]
@@ -485,19 +450,15 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"payload").unwrap();
         wire.truncate(2); // half a length prefix
-        let mut r = Cursor::new(wire);
-        assert!(read_frame(&mut r).is_err());
+        assert!(read_one(wire).is_err());
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected() {
         let mut wire = (MAX_FRAME + 1).to_be_bytes().to_vec();
+        assert!(read_one(wire.clone()).is_err(), "prefix alone");
         wire.extend_from_slice(&[0u8; 16]);
-        let mut r = Cursor::new(wire);
-        assert!(read_frame(&mut r).is_err());
-        let mut fr = FrameReader::new();
-        let mut r2 = Cursor::new((MAX_FRAME + 1).to_be_bytes().to_vec());
-        assert!(fr.read(&mut r2).is_err());
+        assert!(read_one(wire).is_err(), "prefix and payload bytes");
     }
 
     #[test]
@@ -530,9 +491,9 @@ mod tests {
             let back = Request::decode(&req.encode()).unwrap();
             assert_eq!(back, req);
         }
-        // The HTTP-flavored metrics spelling maps onto the same verb.
+        // `metrics` has one spelling.
         let get = br#"{"verb":"GET /metrics"}"#;
-        assert_eq!(Request::decode(get).unwrap(), Request::Metrics);
+        assert!(Request::decode(get).unwrap_err().contains("unknown verb"));
     }
 
     #[test]
@@ -665,36 +626,23 @@ mod tests {
             })
         );
 
-        // Oversize incoming length prefix, both codec paths.
-        let wire = (MAX_FRAME + 1).to_be_bytes().to_vec();
-        let err = read_frame(&mut Cursor::new(wire.clone())).unwrap_err();
-        assert!(matches!(
-            ProtocolError::classify(&err),
-            Some(ProtocolError::Oversize { .. })
-        ));
-        let err = FrameReader::new().read(&mut Cursor::new(wire)).unwrap_err();
+        // Oversize incoming length prefix.
+        let err = read_one((MAX_FRAME + 1).to_be_bytes().to_vec()).unwrap_err();
         assert!(matches!(
             ProtocolError::classify(&err),
             Some(ProtocolError::Oversize { .. })
         ));
 
-        // Truncation: torn header and short payload.
+        // Truncation: a cut at every byte, through the header and the
+        // payload.
         let mut wire = Vec::new();
         write_frame(&mut wire, b"payload").unwrap();
-        for cut in [2, 6] {
-            let mut torn = wire.clone();
-            torn.truncate(cut);
-            let err = read_frame(&mut Cursor::new(torn.clone())).unwrap_err();
+        for cut in 1..wire.len() {
+            let err = read_one(wire[..cut].to_vec()).unwrap_err();
             assert_eq!(
                 ProtocolError::classify(&err),
                 Some(ProtocolError::Truncated),
-                "read_frame, cut at {cut}"
-            );
-            let err = FrameReader::new().read(&mut Cursor::new(torn)).unwrap_err();
-            assert_eq!(
-                ProtocolError::classify(&err),
-                Some(ProtocolError::Truncated),
-                "FrameReader, cut at {cut}"
+                "cut at {cut}"
             );
         }
 

@@ -322,7 +322,11 @@ fn accept_loop(
                 let _ = handle_connection(stream, &shared);
             })
             .expect("spawn connection handler");
-        handlers.lock().unwrap().push(handle);
+        // Finished handlers are dropped here, not held until shutdown:
+        // each one kept would pin its thread's stack mapping.
+        let mut handlers = handlers.lock().expect("handler list lock poisoned");
+        handlers.retain(|h| !h.is_finished());
+        handlers.push(handle);
     }
 }
 
@@ -562,4 +566,43 @@ fn execute(shared: &Arc<Shared>, job: &Job, worker_id: usize, waited: Duration) 
         job.admitted,
         waited,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn finished_connection_handlers_are_not_kept_until_shutdown() {
+        let handle = Server::spawn(ServerConfig::fast_test()).expect("server");
+        let ping = || {
+            let mut c = Client::connect(handle.addr()).expect("connect");
+            assert!(matches!(c.call(&Request::Ping), Ok(Response::Pong { .. })));
+            c
+        };
+        // Polls the kept handlers until `done` holds of them.
+        let wait = |done: &dyn Fn(&[JoinHandle<()>]) -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                let kept = handle.handlers.lock().unwrap();
+                if done(&kept) {
+                    return kept.len();
+                }
+                drop(kept);
+                assert!(Instant::now() < deadline, "handlers never settled");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        for _ in 0..64 {
+            drop(ping());
+        }
+        wait(&|kept| kept.iter().all(JoinHandle::is_finished));
+        // One more connection, held open: the accept that keeps its
+        // handler drops every finished one first.
+        let _open = ping();
+        let kept = wait(&|kept| kept.iter().any(|h| !h.is_finished()));
+        assert!(kept <= 2, "{kept} handlers kept after 65 connections");
+        handle.shutdown();
+    }
 }

@@ -23,12 +23,12 @@
 //! step leaves every solver in a state bit-identical to having called
 //! its scalar `step` with the same inputs.
 //!
-//! **Fallback contract.** Batching is an execution strategy, not a
+//! **Scalar contract.** Batching is an execution strategy, not a
 //! configuration: when the lanes do *not* all resolve to one shared
-//! propagator (backward-Euler backend, latched fallback, or differing
-//! thermal configurations), [`step_lumped_batch`] returns `Ok(false)`
-//! without touching any state, and the caller steps each lane through
-//! its scalar path.
+//! propagator (backward-Euler backend, or differing thermal
+//! configurations), [`step_lumped_batch`] returns `Ok(false)` without
+//! touching any state, and the caller steps each lane through its
+//! scalar path.
 
 use crate::linalg::{LaneRow, LANE_BLOCK};
 use crate::model::{ThermalError, TransientSolver};
@@ -64,8 +64,9 @@ impl BatchWorkspace {
 ///
 /// # Errors
 ///
-/// Propagates the per-lane power-vector validation failures a scalar
-/// `step` would raise; no lane is modified then either.
+/// Propagates the per-lane power-vector validation and propagator
+/// construction failures a scalar `step` would raise; no lane's
+/// temperatures are modified then either.
 pub fn step_lumped_batch(
     lanes: &mut [(&mut TransientSolver, &[f64])],
     dt: f64,
@@ -86,11 +87,11 @@ pub fn step_lumped_batch(
     }
     // All lanes must resolve to the *same* shared propagator instance
     // (`Arc` identity, courtesy of the process-wide cache). Anything
-    // else — backward-Euler, latched fallback, a different thermal
-    // configuration or dt — and the whole group falls back to scalar.
+    // else — backward-Euler, a different thermal configuration or dt —
+    // and the whole group steps scalar.
     let mut shared: Option<Arc<Propagator>> = None;
     for (solver, _) in lanes.iter_mut() {
-        match solver.batch_prop(dt) {
+        match solver.batch_prop(dt)? {
             Some(p) => match &shared {
                 Some(first) if Arc::ptr_eq(first, p) => {}
                 Some(_) => return Ok(false),

@@ -458,8 +458,9 @@ impl ThermalModel {
 /// changes. The reference backend ([`SolverBackend::BackwardEuler`])
 /// divides `dt` into equal substeps no longer than the configured
 /// maximum and re-solves a cached LU factorization per substep; it is
-/// also the automatic fallback when the propagator cannot be built
-/// (singular or ill-conditioned `A`).
+/// the reference the differential suites check the propagator against.
+/// A propagator that cannot be built (singular or ill-conditioned `A`)
+/// is an error.
 ///
 /// The solver owns its temperature state.
 #[derive(Debug, Clone)]
@@ -469,10 +470,6 @@ pub struct TransientSolver {
     fast_delta: Vec<f64>,
     max_substep: f64,
     backend: SolverBackend,
-    /// Latched when propagator construction failed: the solver then
-    /// runs backward Euler for the rest of its life (see
-    /// [`crate::propagator`] for the fallback conditions).
-    prop_fallback: bool,
     cached: Option<(f64, LuFactors)>,
     prop: Option<std::sync::Arc<Propagator>>,
     /// The fast mode's per-step decay `exp(−dt/τ)`, keyed by the exact
@@ -488,7 +485,7 @@ impl TransientSolver {
     /// using the default exact-propagator backend.
     ///
     /// `max_substep` is the longest backward-Euler substep (s), used by
-    /// the reference/fallback backend; 7 µs gives ~4 substeps per
+    /// the reference backend; 7 µs gives ~4 substeps per
     /// 27.8 µs power sample, resolving the fastest silicon time
     /// constants well.
     ///
@@ -508,7 +505,6 @@ impl TransientSolver {
             fast_delta,
             max_substep,
             backend: SolverBackend::default(),
-            prop_fallback: false,
             cached: None,
             prop: None,
             fast_decay: None,
@@ -523,18 +519,9 @@ impl TransientSolver {
         self
     }
 
-    /// The backend this solver was configured with. Note that a
-    /// [`SolverBackend::Propagator`] solver may still be running
-    /// backward Euler if construction fell back; see
-    /// [`TransientSolver::in_fallback`].
+    /// The backend this solver was configured with.
     pub fn backend(&self) -> SolverBackend {
         self.backend
-    }
-
-    /// Whether a propagator-backend solver has permanently fallen back
-    /// to backward Euler because `E`/`F` could not be built.
-    pub fn in_fallback(&self) -> bool {
-        self.prop_fallback
     }
 
     /// The underlying model.
@@ -606,25 +593,20 @@ impl TransientSolver {
     ///
     /// # Errors
     ///
-    /// Fails on a non-physical `dt` or a singular system. A propagator
-    /// construction failure is not an error here: it latches the
-    /// documented fallback and factors the backward-Euler LU instead.
+    /// Fails on a non-physical `dt`, a singular system, or a propagator
+    /// that cannot be built (see [`crate::propagator`]).
     pub fn prewarm(&mut self, dt: f64) -> Result<(), ThermalError> {
         if !(dt.is_finite() && dt > 0.0) {
             return Err(ThermalError::NotPhysical(format!("dt = {dt}")));
         }
-        if self.backend == SolverBackend::Propagator && !self.prop_fallback {
-            self.ensure_propagator(dt);
+        match self.backend {
+            SolverBackend::Propagator => self.ensure_propagator(dt),
+            SolverBackend::BackwardEuler => self.ensure_lu(dt).map(|_| ()),
         }
-        if self.backend == SolverBackend::BackwardEuler || self.prop_fallback {
-            self.ensure_lu(dt)?;
-        }
-        Ok(())
     }
 
-    /// Builds (or rebuilds, after a `dt` change) the cached propagator;
-    /// on failure latches the permanent backward-Euler fallback.
-    fn ensure_propagator(&mut self, dt: f64) {
+    /// Builds (or rebuilds, after a `dt` change) the cached propagator.
+    fn ensure_propagator(&mut self, dt: f64) -> Result<(), ThermalError> {
         let needs_build = match &self.prop {
             Some(p) => (p.dt() - dt).abs() > 1e-15,
             None => true,
@@ -632,20 +614,16 @@ impl TransientSolver {
         if needs_build {
             // Served from the process-wide cache when an identical
             // thermal configuration already built one (bit-identical).
-            match Propagator::shared(
+            self.prop = Some(Propagator::shared(
                 &self.model.a,
                 &self.model.cap,
                 &self.model.g_amb,
                 self.model.ambient,
                 self.model.n_blocks,
                 dt,
-            ) {
-                Ok(p) => self.prop = Some(p),
-                // Documented fallback: ill-conditioned or singular A.
-                // Latch and run backward Euler from here on.
-                Err(_) => self.prop_fallback = true,
-            }
+            )?);
         }
+        Ok(())
     }
 
     /// Factors (or re-factors, after a `dt` change) the backward-Euler
@@ -673,25 +651,24 @@ impl TransientSolver {
     ///
     /// # Errors
     ///
-    /// Fails on bad power vectors or a singular system.
+    /// Fails on bad power vectors, a singular system, or a propagator
+    /// that cannot be built.
     pub fn step(&mut self, block_power: &[f64], dt: f64) -> Result<(), ThermalError> {
         if !(dt.is_finite() && dt > 0.0) {
             return Err(ThermalError::NotPhysical(format!("dt = {dt}")));
         }
-        if self.backend == SolverBackend::Propagator && !self.prop_fallback {
+        if self.backend == SolverBackend::Propagator {
             self.model.check_power(block_power)?;
-            self.ensure_propagator(dt);
-            if !self.prop_fallback {
-                let p = self.prop.as_ref().expect("propagator built above");
-                p.advance(
-                    &mut self.temps,
-                    block_power,
-                    &mut self.rhs_buf,
-                    &mut self.sol_buf,
-                );
-                self.step_fast_mode(block_power, dt);
-                return Ok(());
-            }
+            self.ensure_propagator(dt)?;
+            let p = self.prop.as_ref().expect("propagator built above");
+            p.advance(
+                &mut self.temps,
+                block_power,
+                &mut self.rhs_buf,
+                &mut self.sol_buf,
+            );
+            self.step_fast_mode(block_power, dt);
+            return Ok(());
         }
 
         let p = self.model.rhs(block_power)?;
@@ -717,19 +694,21 @@ impl TransientSolver {
 
     /// Batched-stepping handle for [`crate::batch`]: the shared
     /// propagator this solver would advance with for a step of `dt`, or
-    /// `None` when it would take the backward-Euler path (configured
-    /// backend, or the permanent fallback — possibly latched right here
-    /// by the rebuild attempt, exactly as a scalar `step` would latch
-    /// it).
-    pub(crate) fn batch_prop(&mut self, dt: f64) -> Option<&std::sync::Arc<Propagator>> {
-        if self.backend != SolverBackend::Propagator || self.prop_fallback {
-            return None;
+    /// `None` for the backward-Euler backend.
+    ///
+    /// # Errors
+    ///
+    /// Fails, as a scalar `step` would, when the propagator cannot be
+    /// built.
+    pub(crate) fn batch_prop(
+        &mut self,
+        dt: f64,
+    ) -> Result<Option<&std::sync::Arc<Propagator>>, ThermalError> {
+        if self.backend != SolverBackend::Propagator {
+            return Ok(None);
         }
-        self.ensure_propagator(dt);
-        if self.prop_fallback {
-            return None;
-        }
-        self.prop.as_ref()
+        self.ensure_propagator(dt)?;
+        Ok(self.prop.as_ref())
     }
 
     /// Validates a power vector exactly as `step` would before the
@@ -979,7 +958,6 @@ mod tests {
         assert_eq!(sim.backend(), SolverBackend::Propagator);
         let p = vec![0.3; nb];
         sim.step(&p, 27.78e-6).unwrap();
-        assert!(!sim.in_fallback());
         assert!(sim.cached.is_none(), "propagator path must not factor LU");
         let dt0 = sim.prop.as_ref().unwrap().dt();
         sim.step(&p, 27.78e-6).unwrap();

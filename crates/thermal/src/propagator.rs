@@ -32,14 +32,15 @@
 //!   T ← [E | F_k]·[T | p] + F·p_amb
 //! ```
 //!
-//! **Fallback conditions.** Construction fails — and the owning solver
-//! permanently falls back to backward Euler — when `A` is singular or
-//! ill-conditioned enough that the inverse or `expm` produces
-//! non-finite entries, or when the computed `E` is not a contraction
-//! (`‖E‖_∞ > 1`), which a dissipative RC network's exact propagator
-//! must be. A *changing* `dt` is not a fallback: the propagator is
-//! cached per `dt` exactly like the backward-Euler LU factorization,
-//! and is rebuilt whenever `dt` moves by more than 1 part in 10¹⁵.
+//! **Failure conditions.** Construction fails — and the owning
+//! solver's `prewarm` or `step` returns the error, so a simulator fails
+//! when it is built — when `A` is singular or ill-conditioned enough
+//! that the inverse or `expm` produces non-finite entries, or when the
+//! computed `E` is not a contraction (`‖E‖_∞ > 1`), which a dissipative
+//! RC network's exact propagator must be. A *changing* `dt` is not a
+//! failure: the propagator is cached per `dt` exactly like the
+//! backward-Euler LU factorization, and is rebuilt whenever `dt` moves
+//! by more than 1 part in 10¹⁵.
 
 use crate::linalg::{affine_matvec, matmul_strided, LaneRow, LinalgError, Matrix};
 use serde::{Deserialize, Serialize};
@@ -54,14 +55,13 @@ const CONTRACTION_TOL: f64 = 1e-9;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SolverBackend {
     /// Exact matrix-exponential propagator (the default): one dense
-    /// matvec per power sample, cached per `dt`, with an automatic
-    /// permanent fallback to [`SolverBackend::BackwardEuler`] if the
-    /// propagator cannot be built.
+    /// matvec per power sample, cached per `dt`. A propagator that
+    /// cannot be built is an error.
     #[default]
     Propagator,
     /// Backward-Euler substepping with a cached LU factorization — the
     /// original reference integrator, unconditionally stable, kept for
-    /// differential testing and as the fallback path.
+    /// differential testing.
     BackwardEuler,
 }
 
@@ -136,8 +136,7 @@ fn content_key(
 
 impl Propagator {
     /// Returns the cached propagator for these exact inputs, building
-    /// and caching it on a miss. Failures are not cached (they latch a
-    /// permanent fallback in the caller anyway).
+    /// and caching it on a miss. Failures are not cached.
     ///
     /// # Errors
     ///

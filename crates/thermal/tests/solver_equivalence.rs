@@ -68,7 +68,6 @@ proptest! {
                 }
             }
         }
-        prop_assert!(!exact.in_fallback(), "propagator must not fall back");
         prop_assert!(worst < TOL, "max divergence {worst} C >= {TOL} C");
     }
 }
