@@ -61,29 +61,6 @@ fn canonical(results: &SweepResults) -> Vec<String> {
         .collect()
 }
 
-/// A ledger row with the timing/placement fields stripped — what must
-/// be identical between local and distributed execution.
-fn normalize_ledger_row(line: &str) -> String {
-    let Ok(v) = Json::parse(line) else {
-        return line.to_string();
-    };
-    let Json::Obj(fields) = v else {
-        return line.to_string();
-    };
-    let kept: Vec<(String, Json)> = fields
-        .into_iter()
-        .filter(|(k, _)| !matches!(k.as_str(), "ts" | "wall_s" | "queue_s" | "worker"))
-        .collect();
-    Json::Obj(kept).emit()
-}
-
-fn sorted_normalized_ledger(path: &PathBuf) -> Vec<String> {
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    let mut rows: Vec<String> = text.lines().map(normalize_ledger_row).collect();
-    rows.sort();
-    rows
-}
-
 fn main() {
     let args = parse_args();
     let (base_sim, tracegen) = (SimConfig::fast_test(), TraceGenConfig::fast_test());
@@ -146,9 +123,16 @@ fn main() {
             }
         }
     }
-    // Ledger parity modulo timing/placement fields.
-    let la = sorted_normalized_ledger(&local_ledger);
-    let lb = sorted_normalized_ledger(&dist_ledger);
+    // Ledger parity modulo timing/placement fields. A missing ledger
+    // reads as empty, which the row-count check below fails.
+    let [la, lb] = [&local_ledger, &dist_ledger].map(|path| {
+        dtm_dist::normalized_ledger(&std::fs::read_to_string(path).unwrap_or_default())
+            .unwrap_or_else(|err| {
+                failures += 1;
+                eprintln!("dtm_dist: FAIL — {}: {err}", path.display());
+                Vec::new()
+            })
+    });
     if la != lb {
         failures += 1;
         eprintln!("dtm_dist: FAIL — ledgers diverge (modulo ts/wall_s/queue_s/worker)");

@@ -58,6 +58,7 @@ use dtm_core::{
     SimConfig, SimError,
 };
 use dtm_harness::cli::SweepArgs;
+use dtm_harness::json::Json;
 use dtm_harness::{ConfigVariant, SweepResults, SweepRunner, SweepSpec};
 use dtm_workloads::Workload;
 use std::sync::Arc;
@@ -141,6 +142,35 @@ pub fn smoke_spec(base: &SimConfig) -> SweepSpec {
     .policies([PolicySpec::baseline(), PolicySpec::best()])
 }
 
+/// A ledger's rows with the fields that say when and where a cell ran
+/// (`ts`, `wall_s`, `queue_s`, `worker`) left out, sorted: the form in
+/// which a local and a distributed run of one sweep must be equal.
+///
+/// # Errors
+///
+/// A row that is not a JSON object, named by its line number.
+pub fn normalized_ledger(text: &str) -> Result<Vec<String>, String> {
+    let mut rows = text
+        .lines()
+        .enumerate()
+        .map(|(i, line)| match Json::parse(line) {
+            Ok(Json::Obj(fields)) => Ok(Json::Obj(
+                fields
+                    .into_iter()
+                    .filter(|(k, _)| !matches!(k.as_str(), "ts" | "wall_s" | "queue_s" | "worker"))
+                    .collect(),
+            )
+            .emit()),
+            _ => Err(format!(
+                "ledger line {} is not a JSON object: {line}",
+                i + 1
+            )),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    rows.sort();
+    Ok(rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,5 +203,32 @@ mod tests {
         runner.run(spec).expect("sweep drains to local execution");
         let summary = remote.and_then(|b| b.take_summary());
         assert!(summary.is_some(), "--dist must install the remote backend");
+    }
+
+    #[test]
+    fn ledgers_compare_without_timing_and_placement() {
+        let row = |key: &str, ts: u32, wall: f64, worker: u32| {
+            format!(
+                r#"{{"ts":{ts},"key":"{key}","policy":"Dist. DVFS","cached":false,"wall_s":{wall},"queue_s":{},"worker":{worker},"result":{{"stalls":9}}}}"#,
+                wall / 2.0
+            )
+        };
+        let local = [row("aa", 1, 0.5, 1), row("bb", 1, 0.25, 2)].join("\n");
+        let dist = [row("bb", 7, 0.125, 9), row("aa", 8, 1.5, 3), String::new()].join("\n");
+        let a = normalized_ledger(&local).unwrap();
+        assert_eq!(a, normalized_ledger(&dist).unwrap());
+        assert_eq!(
+            a[0],
+            r#"{"key":"aa","policy":"Dist. DVFS","cached":false,"result":{"stalls":9}}"#
+        );
+
+        let other = [row("aa", 1, 0.5, 1), row("cc", 1, 0.25, 2)].join("\n");
+        assert_ne!(a, normalized_ledger(&other).unwrap(), "a key differs");
+
+        for bad in ["not json", "[1,2]", ""] {
+            let text = format!("{}\n{bad}\n", row("aa", 1, 0.5, 1));
+            let err = normalized_ledger(&text).unwrap_err();
+            assert!(err.starts_with("ledger line 2 "), "{err}");
+        }
     }
 }

@@ -5,8 +5,7 @@
 //! a single-process run.
 
 use dtm_core::{DtmConfig, PolicySpec, SimConfig, SimError};
-use dtm_dist::{DistConfig, RemoteBackend};
-use dtm_harness::json::Json;
+use dtm_dist::{normalized_ledger, DistConfig, RemoteBackend};
 use dtm_harness::{ConfigVariant, Ledger, ResultCache, SweepResults, SweepRunner, SweepSpec};
 use dtm_serve::{Server, ServerConfig};
 use dtm_workloads::{TraceGenConfig, TraceLibrary, Workload};
@@ -98,24 +97,11 @@ fn cache_contents(dir: &Path) -> BTreeMap<String, Vec<u8>> {
     out
 }
 
-/// Ledger rows with timing/placement fields stripped, sorted.
-fn normalized_ledger(path: &Path) -> Vec<String> {
-    let text = std::fs::read_to_string(path).expect("ledger exists");
-    let mut rows: Vec<String> = text
-        .lines()
-        .map(|line| {
-            let Json::Obj(fields) = Json::parse(line).expect("ledger row parses") else {
-                panic!("ledger row is not an object: {line}");
-            };
-            let kept: Vec<(String, Json)> = fields
-                .into_iter()
-                .filter(|(k, _)| !matches!(k.as_str(), "ts" | "wall_s" | "queue_s" | "worker"))
-                .collect();
-            Json::Obj(kept).emit()
-        })
-        .collect();
-    rows.sort();
-    rows
+/// `dir`'s `{tag}-ledger.jsonl`, normalized for comparison.
+fn ledger(dir: &Path, tag: &str) -> Vec<String> {
+    let text =
+        std::fs::read_to_string(dir.join(format!("{tag}-ledger.jsonl"))).expect("ledger exists");
+    normalized_ledger(&text).unwrap_or_else(|err| panic!("{tag}: {err}"))
 }
 
 /// Runs `spec` into `dir`'s `{tag}-cache` and `{tag}-ledger.jsonl`,
@@ -160,10 +146,13 @@ fn assert_identical_runs(dir: &Path, local: &SweepResults, dist: &SweepResults) 
         cache_contents(&dir.join("dist-cache")),
         "cache bytes differ"
     );
-    let la = normalized_ledger(&dir.join("local-ledger.jsonl"));
+    let la = ledger(dir, "local");
     assert_eq!(la.len(), local.outcomes().len(), "one ledger row per cell");
-    let lb = normalized_ledger(&dir.join("dist-ledger.jsonl"));
-    assert_eq!(la, lb, "ledgers diverge beyond timing fields");
+    assert_eq!(
+        la,
+        ledger(dir, "dist"),
+        "ledgers diverge beyond timing fields"
+    );
 }
 
 #[test]

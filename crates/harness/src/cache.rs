@@ -1,10 +1,11 @@
 //! Content-addressed on-disk result cache.
 //!
 //! Every sweep cell — one (workload, policy, configuration) simulation
-//! — is addressed by a stable 128-bit hash of its complete inputs:
-//! resolved benchmark names, the policy triple, `SimConfig`,
-//! `DtmConfig`, `FaultConfig`, the trace-generation parameters, and the
-//! crate version.
+//! — is addressed by a stable 128-bit hash of its complete inputs: the
+//! workload's resolved benchmarks, each spelled whole (name, profile
+//! and phase; 1.3–2.3 KB for a Table 4 workload), the policy triple,
+//! `SimConfig`, `DtmConfig`, `FaultConfig`, the trace-generation
+//! parameters, and the crate version.
 //! Re-running any experiment skips already-computed cells, and cells
 //! are shared *across* experiments: the Table 5 grid is a subset of the
 //! Table 8 grid, so a Table 8 run leaves Table 5 fully warm.
@@ -54,12 +55,26 @@ fn fnv1a64<'a>(seed: u64, bytes: impl IntoIterator<Item = &'a u8>) -> u64 {
     })
 }
 
+/// [`fnv1a64`] continued from every state in `states` over the same
+/// `bytes`, in one pass over `bytes`. The states are independent
+/// chains, so the inner loop vectorizes across them.
+fn fnv1a64_each(states: &mut [u64], bytes: &[u8]) {
+    for b in bytes {
+        for h in states.iter_mut() {
+            *h = fnv1a64(*h, [b]);
+        }
+    }
+}
+
 /// One config variant's share of a cell-key preimage. The preimage is
 /// `v=…|w=…|p=…` (the cell's head) followed by the variant's tail
-/// `|sim=…|dtm=…|tg=…|flt=…`. The low lane hashes it forward; the
-/// high lane, from another offset basis, hashes it reversed, so it
-/// reads the tail first and one fold over the tail serves every cell
-/// of the variant.
+/// `|sim=…|dtm=…|tg=…|flt=…` (3.4 KB at the paper defaults). The low
+/// lane hashes it forward; the high lane, from another offset basis,
+/// hashes it reversed, so it reads the tail first, and `hi`, its one
+/// fold over the tail, starts every cell of the variant.
+/// [`cell_key`] spells and hashes one cell's preimage through
+/// [`KeyTail::key`]; it is the reference [`cell_keys`] is tested
+/// against.
 struct KeyTail {
     text: String,
     /// The high lane after the reversed tail.
@@ -121,27 +136,89 @@ pub fn cell_key(
 
 /// The content address of every cell of `spec`, in
 /// [`SweepSpec::cells`] order: exactly what [`cell_key`] gives each
-/// cell, but each variant's configs, each workload's benchmarks and
-/// each policy are spelled once per sweep rather than once per cell.
+/// cell. Each variant's tail, each workload's `v=…|w=…` and each
+/// policy's `|p=…` are spelled once per sweep, and each byte string
+/// that a group of cells shares is folded once, into all of the
+/// group's lane states together:
+///
+/// - the low lane folds each workload's part once, continues it over
+///   each policy's part, and then folds each variant's tail into all
+///   of the variant's cells;
+/// - the high lane folds each variant's reversed tail once, continues
+///   it over each policy's reversed part, and then folds each
+///   workload's reversed part into all of the workload's (variant,
+///   policy) states.
+///
+/// So a cell costs a vector lane's share of its bytes, not a serial
+/// fold of its whole ~5 KB preimage: on the 144-cell Table 8 grid this
+/// takes about a quarter of the time per sweep.
 pub fn cell_keys(spec: &SweepSpec, tracegen: &TraceGenConfig, version: &str) -> Vec<CellKey> {
     let tails: Vec<KeyTail> = spec
         .variant_axis()
         .iter()
         .map(|v| KeyTail::new(&v.sim, &v.dtm, &v.faults, tracegen))
         .collect();
-    let benches: Vec<String> = spec
+    let workloads: Vec<String> = spec
         .workload_axis()
         .iter()
-        .map(|w| format!("{:?}", w.resolve()))
+        .map(|w| format!("v={version}|w={:?}", w.resolve()))
         .collect();
     let policies: Vec<String> = spec
         .policy_axis()
         .iter()
-        .map(|p| format!("{p:?}"))
+        .map(|p| format!("|p={p:?}"))
         .collect();
+    let (np, nw) = (policies.len(), workloads.len());
+
+    // Low lane: the head, the same in every variant, in (policy,
+    // workload) order; then one copy per variant, continued over its
+    // tail.
+    let by_workload: Vec<u64> = workloads
+        .iter()
+        .map(|w| fnv1a64(0xcbf2_9ce4_8422_2325, w.as_bytes()))
+        .collect();
+    let heads: Vec<u64> = policies
+        .iter()
+        .flat_map(|p| by_workload.iter().map(|&h| fnv1a64(h, p.as_bytes())))
+        .collect();
+    let mut lo = Vec::with_capacity(tails.len() * heads.len());
+    for tail in &tails {
+        let start = lo.len();
+        lo.extend_from_slice(&heads);
+        fnv1a64_each(&mut lo[start..], tail.text.as_bytes());
+    }
+
+    // High lane: the reversed tail and policy part in (variant, policy)
+    // order; then one copy per workload, continued over its reversed
+    // part.
+    let by_policy: Vec<u64> = tails
+        .iter()
+        .flat_map(|t| {
+            policies
+                .iter()
+                .map(|p| fnv1a64(t.hi, p.as_bytes().iter().rev()))
+        })
+        .collect();
+    let mut hi = vec![0; lo.len()];
+    let mut states = by_policy.clone();
+    let mut reversed = Vec::new();
+    for (w, part) in workloads.iter().enumerate() {
+        states.copy_from_slice(&by_policy);
+        reversed.clear();
+        reversed.extend(part.bytes().rev());
+        fnv1a64_each(&mut states, &reversed);
+        for (vp, &h) in states.iter().enumerate() {
+            hi[vp * nw + w] = h;
+        }
+    }
+
+    // Both lanes are laid out (variant, policy, workload).
     spec.cells()
         .iter()
-        .map(|c| tails[c.variant].key(version, &benches[c.workload], &policies[c.policy]))
+        .map(|c| {
+            let i = (c.variant * np + c.policy) * nw + c.workload;
+            CellKey(((hi[i] as u128) << 64) | lo[i] as u128)
+        })
         .collect()
 }
 
@@ -563,6 +640,61 @@ mod tests {
         assert_eq!(keys, per_cell(&mixed, &tg));
         let distinct: std::collections::HashSet<_> = keys.iter().collect();
         assert_eq!(distinct.len(), 30, "every mixed cell has its own key");
+
+        // Seeded grids: 1–5 of the mixed grid's variants, 1–12
+        // workloads (repeats allowed) and 1–12 policies, under either
+        // trace configuration.
+        let (workloads, policies) = (standard_workloads(), PolicySpec::all());
+        let mut state = 0x5eed_u64;
+        let mut draw = |n: usize| {
+            // splitmix64
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for round in 0..12 {
+            let mut pool = mixed.variant_axis().to_vec();
+            let variants: Vec<ConfigVariant> = (0..1 + draw(5))
+                .map(|_| pool.remove(draw(pool.len())))
+                .collect();
+            let ws = (0..1 + draw(12))
+                .map(|_| workloads[draw(12)].clone())
+                .collect();
+            let ps: Vec<PolicySpec> = (0..1 + draw(12)).map(|_| policies[draw(12)]).collect();
+            let spec = SweepSpec::new(ws).variants(variants).policies(ps);
+            let tg = [TraceGenConfig::default(), TraceGenConfig::fast_test()][round % 2].clone();
+            assert_eq!(
+                cell_keys(&spec, &tg, "0.2.0"),
+                per_cell(&spec, &tg),
+                "seeded grid {round}"
+            );
+        }
+
+        let one = SweepSpec::new(vec![workloads[5].clone()])
+            .variants([mixed.variant_axis()[4].clone()])
+            .policies([PolicySpec::best()]);
+        assert_eq!(cell_keys(&one, &tg, "0.2.0"), per_cell(&one, &tg));
+    }
+
+    #[test]
+    fn one_fold_over_many_states_equals_a_fold_per_state() {
+        // Every count of states up to 40 and every length up to 70
+        // bytes, so every vector remainder is covered; bytes above 0x7f
+        // check that they are widened without sign.
+        let bytes: Vec<u8> = (0..70u8).map(|i| i.wrapping_mul(37) ^ 0xa5).collect();
+        for n in 0..=40u64 {
+            let seeds: Vec<u64> = (0..n)
+                .map(|s| s.wrapping_mul(0x9e37_79b9_7f4a_7c15))
+                .collect();
+            for len in 0..=bytes.len() {
+                let mut states = seeds.clone();
+                fnv1a64_each(&mut states, &bytes[..len]);
+                let want: Vec<u64> = seeds.iter().map(|&s| fnv1a64(s, &bytes[..len])).collect();
+                assert_eq!(states, want, "{n} states, {len} bytes");
+            }
+        }
     }
 
     #[test]

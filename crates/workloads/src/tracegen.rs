@@ -9,9 +9,14 @@ use crate::profiles::Benchmark;
 use dtm_microarch::{CoreConfig, CoreSim};
 use dtm_power::{PowerModel, PowerTrace};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Process-wide uniquifier for trace temp-file names: threads share a
+/// process id.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Trace-generation parameters.
 #[derive(Debug, Clone)]
@@ -175,16 +180,7 @@ impl TraceLibrary {
                 // Corrupt cache entry: fall through and regenerate.
             }
             let trace = generate_trace(bench, &self.cfg);
-            // Best-effort write; failures (read-only media, races) are
-            // not errors.
-            if std::fs::create_dir_all(path.parent().expect("cache path has parent")).is_ok() {
-                let tmp = path.with_extension("tmp");
-                if let Ok(file) = std::fs::File::create(&tmp) {
-                    if trace.write_to(std::io::BufWriter::new(file)).is_ok() {
-                        let _ = std::fs::rename(&tmp, &path);
-                    }
-                }
-            }
+            store(&path, &trace);
             return trace;
         }
         generate_trace(bench, &self.cfg)
@@ -201,6 +197,31 @@ impl TraceLibrary {
     /// loop assert this stays at one decode per distinct benchmark.
     pub fn decode_count(&self) -> u64 {
         self.decodes.load(Ordering::Relaxed)
+    }
+}
+
+/// Writes `trace` to `path` temp-then-rename, best effort: failures
+/// (read-only media, a full disk) are not errors, and a failed write
+/// removes its temp file. Generation runs outside the library's lock,
+/// so two writers (threads, or processes sharing the store) can finish
+/// one benchmark together; the temp name carries the process id and a
+/// process-wide sequence number, so neither truncates the other's
+/// in-flight file, and each publishes a whole trace.
+fn store(path: &Path, trace: &PowerTrace) {
+    if std::fs::create_dir_all(path.parent().expect("cache path has parent")).is_err() {
+        return;
+    }
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let written = std::fs::File::create(&tmp).is_ok_and(|file| {
+        let mut w = std::io::BufWriter::new(file);
+        trace.write_to(&mut w).is_ok() && w.flush().is_ok()
+    });
+    if !(written && std::fs::rename(&tmp, path).is_ok()) {
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
@@ -324,6 +345,41 @@ mod tests {
         std::fs::write(&path, b"not a trace file").unwrap();
         let lib3 = TraceLibrary::new(TraceGenConfig::fast_test()).with_disk_cache(&dir);
         assert_eq!(*lib3.trace(&b), *t1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_writer_keeps_to_its_own_temp_file() {
+        let dir = std::env::temp_dir().join(format!("dtm-trace-tmp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TraceGenConfig::fast_test();
+        let b = benchmark("gzip");
+        let fresh = generate_trace(&b, &cfg);
+
+        // Another writer's in-flight file, at the temp name every writer
+        // of this trace once shared.
+        let lib = TraceLibrary::new(cfg.clone()).with_disk_cache(&dir);
+        let path = lib.disk_path(&b).unwrap();
+        let in_flight = path.with_extension("tmp");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&in_flight, b"half of another writer's trace").unwrap();
+        assert_eq!(*lib.trace(&b), fresh);
+        assert_eq!(
+            std::fs::read(&in_flight).unwrap(),
+            b"half of another writer's trace",
+            "the other writer's file must survive byte for byte"
+        );
+        let published = std::fs::File::open(&path).unwrap();
+        assert_eq!(PowerTrace::read_from(published).unwrap(), fresh);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+
+        // A trace that cannot be published (its name is taken by a
+        // directory) leaves no temp file behind.
+        std::fs::remove_file(&path).unwrap();
+        std::fs::create_dir_all(path.join("taken")).unwrap();
+        let lib = TraceLibrary::new(cfg).with_disk_cache(&dir);
+        assert_eq!(*lib.trace(&b), fresh);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
