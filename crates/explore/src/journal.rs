@@ -148,6 +148,16 @@ mod tests {
         assert_eq!(memo.len(), 2);
         assert_eq!(memo["dvfs|pi_kp=0.0107#f1"], s2, "later row wins");
         assert_eq!(memo["dvfs|pi_kp=0.0107#f4"], s2);
+        // `read` decodes every row as the tree path does.
+        for line in text.lines() {
+            let mut r = dtm_harness::json::Reader::new(line);
+            let read = JournalRow::read(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(
+                read,
+                JournalRow::from_json(&Json::parse(line).unwrap()).unwrap()
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -94,7 +94,7 @@ impl Score {
 mod tests {
     use super::*;
     use dtm_harness::codec::JsonCodec;
-    use dtm_harness::json::Json;
+    use dtm_harness::json::{Json, Reader};
 
     fn s(bips: f64, violation: f64, energy: f64, penalty: f64) -> Score {
         Score {
@@ -127,11 +127,18 @@ mod tests {
     #[test]
     fn json_round_trip_is_bit_exact() {
         let a = s(5.123456789, 1.0 / 3.0, 12.75, 0.0);
-        let parsed = Json::parse(&a.to_json().emit()).unwrap();
-        let back = Score::from_json(&parsed).unwrap();
-        assert_eq!(a.bips.to_bits(), back.bips.to_bits());
-        assert_eq!(a.violation.to_bits(), back.violation.to_bits());
-        assert_eq!(a.energy.to_bits(), back.energy.to_bits());
-        assert_eq!(a.penalty.to_bits(), back.penalty.to_bits());
+        let text = a.to_json().emit();
+        let mut r = Reader::new(&text);
+        let read = Score::read(&mut r).unwrap();
+        r.finish().unwrap();
+        for back in [
+            Score::from_json(&Json::parse(&text).unwrap()).unwrap(),
+            read,
+        ] {
+            assert_eq!(a.bips.to_bits(), back.bips.to_bits());
+            assert_eq!(a.violation.to_bits(), back.violation.to_bits());
+            assert_eq!(a.energy.to_bits(), back.energy.to_bits());
+            assert_eq!(a.penalty.to_bits(), back.penalty.to_bits());
+        }
     }
 }

@@ -425,6 +425,18 @@ mod tests {
         FrameReader::new().read(&mut Cursor::new(wire))
     }
 
+    /// The fields of `payload` after its leading `verb`, decoded by
+    /// `T::read` with no tree.
+    fn read_past_verb<T: JsonCodec>(payload: &[u8]) -> Result<T, JsonError> {
+        let text = std::str::from_utf8(payload).unwrap();
+        let rest = &text[text.find(',').unwrap() + 1..];
+        let body = format!("{{{rest}");
+        let mut r = dtm_harness::json::Reader::new(&body);
+        let v = T::read(&mut r)?;
+        r.finish()?;
+        Ok(v)
+    }
+
     #[test]
     fn frames_round_trip_back_to_back() {
         let mut wire = Vec::new();
@@ -538,6 +550,9 @@ mod tests {
         ] {
             let back = Response::decode(&resp.encode()).unwrap();
             assert_eq!(back, resp);
+            if let Response::Pong { info: Some(info) } = &resp {
+                assert_eq!(&read_past_verb::<ServerInfo>(&resp.encode()).unwrap(), info);
+            }
         }
     }
 
@@ -598,8 +613,15 @@ mod tests {
             "{wire}"
         );
         assert_eq!(Response::decode(wire.as_bytes()).unwrap(), resp);
+        let Response::Result(sim) = &resp else {
+            unreachable!()
+        };
+        assert_eq!(
+            &read_past_verb::<SimResponse>(wire.as_bytes()).unwrap(),
+            sim.as_ref()
+        );
         // An unknown or repeated field, at the top or inside the
-        // result, is an error.
+        // result, is an error, to both decoders.
         let head = r#"{"verb":"result","#;
         for (from, to) in [
             (head, r#"{"verb":"result","lanes":8,"#),
@@ -611,6 +633,10 @@ mod tests {
             let bad = wire.replacen(from, to, 1);
             assert_ne!(bad, wire);
             assert!(Response::decode(bad.as_bytes()).is_err(), "{bad}");
+            assert!(
+                read_past_verb::<SimResponse>(bad.as_bytes()).is_err(),
+                "{bad}"
+            );
         }
     }
 

@@ -323,6 +323,16 @@ mod tests {
     use FaultKind::*;
     use GainScheduleConfig::{Fixed, Rao, SelfTuning};
 
+    /// `value`'s JSON decoded by `T::read` with no tree, spelled by
+    /// `Debug`.
+    fn read_back<T: JsonCodec + std::fmt::Debug>(value: &T) -> String {
+        let text = value.to_json().emit();
+        let mut r = dtm_harness::json::Reader::new(&text);
+        let back = T::read(&mut r).unwrap();
+        r.finish().unwrap();
+        format!("{back:?}")
+    }
+
     fn std_req() -> SimRequest {
         SimRequest::standard("gzip-twolf-ammp-lucas", "dvfs/dist/sensor")
     }
@@ -501,6 +511,11 @@ mod tests {
             let req = SimRequest { dtm: Some(dtm), faults: Some(faults), ..std_req() };
             let back = SimRequest::from_json(&Json::parse(&frame(&req)).unwrap()).unwrap();
             prop_assert_eq!(format!("{back:?}"), format!("{req:?}"));
+            // `read` decodes both alike; their enums go through its
+            // default, the tree.
+            let (dtm, faults) = (req.dtm.unwrap(), req.faults.unwrap());
+            prop_assert_eq!(read_back(&dtm), format!("{dtm:?}"));
+            prop_assert_eq!(read_back(&faults), format!("{faults:?}"));
         }
     }
 
