@@ -193,13 +193,6 @@ impl RunResult {
             1e9 * self.energy / self.instructions
         }
     }
-
-    /// Whether the run kept the *true* temperature below the threshold
-    /// the whole time — the robustness analogue of
-    /// [`RunResult::emergency_free`], immune to lying sensors.
-    pub fn violation_free(&self) -> bool {
-        self.robustness.violation_time == 0.0
-    }
 }
 
 /// Mean of a slice of values.

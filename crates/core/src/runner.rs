@@ -126,11 +126,6 @@ impl Experiment {
         self
     }
 
-    /// The robustness configuration.
-    pub fn fault_config(&self) -> &FaultConfig {
-        &self.faults
-    }
-
     /// Attaches an observability handle to every simulator this context
     /// builds. The default (disabled) handle leaves runs unprofiled and
     /// their results bit-identical to an uninstrumented build.

@@ -76,12 +76,11 @@ impl DistConfig {
     }
 
     /// Builds from the shared sweep-binary flags (`--dist`,
-    /// `--dist-local`, `--dist-deadline`, `--dist-retries`).
+    /// `--dist-local`), with [`DistConfig::new`]'s deadline and retry
+    /// budget.
     pub fn from_args(args: &SweepArgs, expected_base: SimConfig) -> Self {
         let mut cfg = DistConfig::new(args.dist_workers.clone(), expected_base);
         cfg.local_threads = args.dist_local;
-        cfg.deadline = Duration::from_secs_f64(args.dist_deadline.max(0.001));
-        cfg.retries = args.dist_retries;
         cfg
     }
 }
@@ -142,11 +141,13 @@ pub fn request_for_cell(
     }
     let req = SimRequest {
         workload: None,
-        benchmarks: ctx.spec.workload_axis()[cell.workload]
-            .resolve()
-            .into_iter()
-            .map(|b| b.name)
-            .collect(),
+        benchmarks: Some(
+            ctx.spec.workload_axis()[cell.workload]
+                .resolve()
+                .into_iter()
+                .map(|b| b.name)
+                .collect(),
+        ),
         policy: ctx.spec.policy_axis()[cell.policy].wire_name(),
         duration_s: Some(sim.duration),
         cores: Some(sim.cores),
@@ -555,13 +556,11 @@ impl Backend for RemoteBackend {
                                         obs.counter(&format!("dtm_dist_w{}_complete_total", w.idx))
                                             .inc();
                                         obs.histogram("dtm_dist_rtt_us").record(rtt_us);
-                                        let src_name = match resp.source {
-                                            ResultSource::Simulated => "sim",
-                                            ResultSource::Memo => "memo",
-                                            ResultSource::Disk => "disk",
-                                        };
-                                        obs.counter(&format!("dtm_dist_src_{src_name}_total"))
-                                            .inc();
+                                        obs.counter(&format!(
+                                            "dtm_dist_src_{}_total",
+                                            resp.source.wire_name()
+                                        ))
+                                        .inc();
                                     }
                                     if !emit.remote(
                                         id,
@@ -825,7 +824,8 @@ mod tests {
             DtmConfig::default(),
         ));
         let req = key_checked_request(&fx, &sim);
-        assert_eq!(req.benchmarks, vec!["gzip", "mcf", "gzip", "mcf"]);
+        let names = ["gzip", "mcf", "gzip", "mcf"].map(String::from);
+        assert_eq!(req.benchmarks, Some(names.to_vec()));
         assert_eq!(req.dtm, Some(DtmConfig::default()));
         assert_eq!(req.faults, Some(FaultConfig::ideal()));
         assert_eq!(req.duration_s, Some(sim.duration));

@@ -526,6 +526,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::summary::DispatchSummary;
+    use crate::worker::WorkerPool;
 
     fn cfg(retries: u32, backoff_ms: u64, speculate_ms: Option<u64>) -> DispatchConfig {
         DispatchConfig {
@@ -738,6 +740,10 @@ mod tests {
         st.park_local(0);
         assert_eq!(st.counts.rejected, 1);
         assert_eq!(st.counts.retries, 0);
+        // The dispatch summary reports the parked cell.
+        let summary = DispatchSummary::collect(&WorkerPool::new(Vec::new()), st.counts, 0, 0);
+        assert!(summary.render().ends_with("0 inexpressible, 1 rejected"));
+        assert!(summary.to_json().emit().contains("\"rejected\":1"));
         assert_eq!(st.next_remote(ms(1)), RemoteNext::Exhausted);
         assert_eq!(st.next_local(false), Some(0));
         assert_eq!(st.complete(0, b"r", false), Completion::Fresh);

@@ -125,7 +125,8 @@ impl DispatchSummary {
     pub fn render(&self) -> String {
         format!(
             "{}\ncells: {} remote, {} local, {} fallback | retries {} | speculated {} | \
-             duplicates {} | parked: {} retry-exhausted, {} pool-drained, {} inexpressible",
+             duplicates {} | parked: {} retry-exhausted, {} pool-drained, {} inexpressible, \
+             {} rejected",
             self.table().render(),
             self.remote_cells,
             self.local_cells,
@@ -136,6 +137,7 @@ impl DispatchSummary {
             self.counts.retry_exhausted,
             self.counts.pool_drained,
             self.counts.inexpressible,
+            self.counts.rejected,
         )
     }
 
@@ -153,6 +155,7 @@ impl DispatchSummary {
             ("retry_exhausted".into(), n(self.counts.retry_exhausted)),
             ("pool_drained".into(), n(self.counts.pool_drained)),
             ("inexpressible".into(), n(self.counts.inexpressible)),
+            ("rejected".into(), n(self.counts.rejected)),
         ])
     }
 }
@@ -185,6 +188,7 @@ mod tests {
         let counts = DispatchCounts {
             retries: 1,
             duplicates: 2,
+            rejected: 3,
             ..DispatchCounts::default()
         };
         let s = DispatchSummary::collect(&pool, counts, 3, 1);
@@ -194,7 +198,12 @@ mod tests {
         let text = s.render();
         assert!(text.contains("a:1"), "worker address in table:\n{text}");
         assert!(text.contains("duplicates 2"), "footer tallies:\n{text}");
+        assert!(text.contains("0 inexpressible, 3 rejected"), "{text}");
         let json = s.to_json().emit();
         assert!(json.contains("\"fallback_cells\":1"), "json: {json}");
+        assert!(
+            json.ends_with("\"inexpressible\":0,\"rejected\":3}"),
+            "json: {json}"
+        );
     }
 }

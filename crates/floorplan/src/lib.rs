@@ -167,16 +167,6 @@ impl Floorplan {
             .collect()
     }
 
-    /// Indices of all blocks belonging to `core`.
-    pub fn core_blocks(&self, core: usize) -> Vec<usize> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.core() == Some(core))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Index of a block by its unique name.
     pub fn block_by_name(&self, name: &str) -> Option<usize> {
         self.blocks.iter().position(|b| b.name() == name)

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! exp_table8 [DURATION] [--workers N | -j N] [--lanes N] [--json] [--no-cache]
-//!            [--dist host:port,...] [--dist-local N] [--dist-deadline S] [--dist-retries N]
+//!            [--dist host:port,...] [--dist-local N]
 //! ```
 //!
 //! where `DURATION` is seconds of simulated silicon time (default: the
@@ -39,11 +39,6 @@ pub struct SweepArgs {
     /// Local threads to mix in alongside remote workers
     /// (`--dist-local N`; default 0 = pure remote).
     pub dist_local: usize,
-    /// Per-cell remote deadline in seconds (`--dist-deadline S`).
-    pub dist_deadline: f64,
-    /// Remote retry budget per cell before falling back to local
-    /// execution (`--dist-retries N`).
-    pub dist_retries: u32,
 }
 
 impl Default for SweepArgs {
@@ -56,8 +51,6 @@ impl Default for SweepArgs {
             no_cache: false,
             dist_workers: Vec::new(),
             dist_local: 0,
-            dist_deadline: 30.0,
-            dist_retries: 2,
         }
     }
 }
@@ -123,14 +116,6 @@ impl SweepArgs {
                     Some(n) => out.dist_local = n,
                     None => return Err("--dist-local requires an integer".into()),
                 },
-                "--dist-deadline" => match args.next().and_then(|s| s.parse::<f64>().ok()) {
-                    Some(d) if d > 0.0 => out.dist_deadline = d,
-                    _ => return Err("--dist-deadline requires positive seconds".into()),
-                },
-                "--dist-retries" => match args.next().and_then(|s| s.parse::<u32>().ok()) {
-                    Some(n) => out.dist_retries = n,
-                    None => return Err("--dist-retries requires an integer".into()),
-                },
                 "--help" | "-h" => return Err(String::new()),
                 other => match other.parse::<f64>() {
                     Ok(d) if d.is_finite() && d > 0.0 => out.duration = d,
@@ -150,7 +135,7 @@ impl SweepArgs {
 /// The sweep binaries' usage text.
 const USAGE: &str = "\
 usage: <exp> [DURATION_SECONDS] [--workers N | -j N] [--lanes N] [--json] [--no-cache]
-           [--dist host:port,...] [--dist-local N] [--dist-deadline S] [--dist-retries N]";
+           [--dist host:port,...] [--dist-local N]";
 
 /// Prints `err` (a [`SweepArgs::try_parse`] error) and `usage` to
 /// stderr, then exits: status 0 for `--help` (an empty `err`), 2 for
@@ -227,20 +212,9 @@ mod tests {
 
     #[test]
     fn dist_flags_parse() {
-        let a = parse(&[
-            "--dist",
-            "10.0.0.1:4000,10.0.0.2:4000",
-            "--dist-local",
-            "2",
-            "--dist-deadline",
-            "12.5",
-            "--dist-retries",
-            "5",
-        ]);
+        let a = parse(&["--dist", "10.0.0.1:4000,10.0.0.2:4000", "--dist-local", "2"]);
         assert_eq!(a.dist_workers, vec!["10.0.0.1:4000", "10.0.0.2:4000"]);
         assert_eq!(a.dist_local, 2);
-        assert!((a.dist_deadline - 12.5).abs() < 1e-12);
-        assert_eq!(a.dist_retries, 5);
         // Repeated --dist accumulates.
         let b = parse(&["--dist", "a:1", "--dist", "b:2"]);
         assert_eq!(b.dist_workers, vec!["a:1", "b:2"]);

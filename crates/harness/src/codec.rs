@@ -73,7 +73,8 @@ pub trait JsonCodec: Sized {
 
 /// How [`struct_codec!`] writes and reads one field: always present,
 /// except that an `Option` field is left out when `None` and reads as
-/// `None` when absent.
+/// `None` when absent. A bad value's error starts ``bad `name`: ``, so
+/// an error deep in a record spells the path to its field.
 pub trait JsonField: Sized {
     /// Appends the field `name`, or nothing for a `None`.
     fn put_field(&self, name: &str, pairs: &mut Vec<(String, Json)>);
@@ -85,12 +86,13 @@ pub trait JsonField: Sized {
     /// Fails on a missing required field or a bad value.
     fn take_field(o: &mut Fields<'_>, name: &str) -> Result<Self, JsonError>;
 
-    /// Reads the value of a field met for the first time in its object.
+    /// Reads the value of the field `name`, met for the first time in
+    /// its object.
     ///
     /// # Errors
     ///
     /// Fails on a bad value.
-    fn read_field(r: &mut Reader<'_>) -> Result<Self, JsonError>;
+    fn read_field(r: &mut Reader<'_>, name: &str) -> Result<Self, JsonError>;
 
     /// The field `name` once its object is closed, from the value
     /// [`JsonField::read_field`] read, if the field was there.
@@ -101,15 +103,20 @@ pub trait JsonField: Sized {
     fn end_field(read: Option<Self>, name: &str) -> Result<Self, JsonError>;
 }
 
+/// Prefixes an error in the value of the field `name` with that name.
+fn in_field(name: &str) -> impl FnOnce(JsonError) -> JsonError + '_ {
+    move |e| JsonError(format!("bad `{name}`: {}", e.0))
+}
+
 impl<T: JsonCodec> JsonField for T {
     fn put_field(&self, name: &str, pairs: &mut Vec<(String, Json)>) {
         pairs.push((name.into(), self.to_json()));
     }
     fn take_field(o: &mut Fields<'_>, name: &str) -> Result<Self, JsonError> {
-        T::from_json(o.req(name)?)
+        T::from_json(o.req(name)?).map_err(in_field(name))
     }
-    fn read_field(r: &mut Reader<'_>) -> Result<Self, JsonError> {
-        T::read(r)
+    fn read_field(r: &mut Reader<'_>, name: &str) -> Result<Self, JsonError> {
+        T::read(r).map_err(in_field(name))
     }
     fn end_field(read: Option<Self>, name: &str) -> Result<Self, JsonError> {
         read.ok_or_else(|| JsonError(format!("missing field `{name}`")))
@@ -123,10 +130,12 @@ impl<T: JsonCodec> JsonField for Option<T> {
         }
     }
     fn take_field(o: &mut Fields<'_>, name: &str) -> Result<Self, JsonError> {
-        o.opt(name).map(T::from_json).transpose()
+        o.opt(name)
+            .map(|v| T::from_json(v).map_err(in_field(name)))
+            .transpose()
     }
-    fn read_field(r: &mut Reader<'_>) -> Result<Self, JsonError> {
-        T::read(r).map(Some)
+    fn read_field(r: &mut Reader<'_>, name: &str) -> Result<Self, JsonError> {
+        T::read_field(r, name).map(Some)
     }
     fn end_field(read: Option<Self>, _: &str) -> Result<Self, JsonError> {
         Ok(read.flatten())
@@ -230,7 +239,10 @@ macro_rules! struct_codec {
                 while let Some(name) = r.key()? {
                     match &*name {
                         $(stringify!($field) if $field.is_none() => {
-                            $field = Some($crate::codec::JsonField::read_field(r)?);
+                            $field = Some($crate::codec::JsonField::read_field(
+                                r,
+                                stringify!($field),
+                            )?);
                         })*
                         other => {
                             return Err($crate::json::JsonError(format!(
@@ -269,7 +281,7 @@ macro_rules! enum_codec {
                 let mut o = v.fields()?;
                 let decoded = match o.req("type")?.as_str()? {
                     $(stringify!($variant) => $ty::$variant $({
-                        $($field: JsonCodec::from_json(o.req(stringify!($field))?)?),*
+                        $($field: JsonField::take_field(&mut o, stringify!($field))?),*
                     })?,)*
                     other => {
                         return Err(JsonError(format!("unknown {} `{other}`", stringify!($ty))))
@@ -461,6 +473,20 @@ mod tests {
             assert_eq!(back.gain_stats, None);
             assert_eq!(back.robustness, sample().robustness);
             assert_eq!(back.steady, sample().steady);
+        }
+    }
+
+    #[test]
+    fn bad_values_name_their_field_path() {
+        let text = result_to_json(&sample()).emit().replacen(
+            r#""violation_time":0.0125"#,
+            r#""violation_time":"x""#,
+            1,
+        );
+        for decoded in decodings(&text) {
+            let err = decoded.unwrap_err();
+            let path = "bad `robustness`: bad `violation_time`: ";
+            assert!(err.0.starts_with(path), "{err}");
         }
     }
 

@@ -632,13 +632,16 @@ impl<'a> Reader<'a> {
                 b'f' => '\u{c}',
                 b'u' => {
                     // Four bytes that are not a whole code point's run,
-                    // or past the end, are no `\u` escape.
+                    // or past the end, are no `\u` escape; nor are four
+                    // that `from_str_radix` reads with a sign.
                     let hex = self
                         .text
                         .get(self.pos..self.pos + 4)
                         .ok_or_else(|| JsonError("truncated or bad \\u escape".into()))?;
-                    let code = u32::from_str_radix(hex, 16)
-                        .map_err(|_| JsonError("bad \\u escape".into()))?;
+                    let code = match u32::from_str_radix(hex, 16) {
+                        Ok(code) if hex.bytes().all(|b| b.is_ascii_hexdigit()) => code,
+                        _ => return err("bad \\u escape"),
+                    };
                     self.pos += 4;
                     char::from_u32(code).ok_or_else(|| JsonError("bad \\u code point".into()))?
                 }
@@ -796,6 +799,9 @@ mod tests {
             "\"\\u00e",
             "\"\\ud800\"",
             "\"\\x\"",
+            // `from_str_radix` would read either sign.
+            "\"\\u+041\"",
+            "\"\\u-041\"",
         ] {
             assert!(accepted(bad).is_err(), "accepted {bad:?}");
         }

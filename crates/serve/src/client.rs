@@ -5,29 +5,25 @@
 //! generator opens many of these (one per concurrent connection), the
 //! integration suite uses them to script exact scenarios, and the
 //! `dtm-dist` coordinator builds its per-worker channels out of them —
-//! which is why the client carries its own connect/read timeouts and a
-//! `try_clone`-free [`Client::reconnect`] path: a retry loop must never
-//! block forever on a half-dead TCP peer.
+//! which is why the client carries its own connect and read timeouts:
+//! a retry loop must never block forever on a half-dead TCP peer. A
+//! connection that fails or times out is dropped, and the caller dials
+//! a fresh [`Client`].
 
 use crate::protocol::{write_frame, FrameReader, ReadOutcome, Request, Response, ServerInfo};
 use crate::request::SimRequest;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 /// A connected protocol client.
 ///
 /// The single `TcpStream` serves both directions ([`write_frame`]
-/// issues one `write_all`, so no write buffering is needed), which
-/// keeps the client cloneless: reconnecting replaces the stream
-/// outright instead of hunting down `try_clone` twins.
+/// issues one `write_all`, so no write buffering is needed).
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
     reader: FrameReader,
-    /// The address dialed, for [`Client::reconnect`].
-    addr: SocketAddr,
-    connect_timeout: Option<Duration>,
     read_timeout: Option<Duration>,
 }
 
@@ -38,33 +34,28 @@ impl Client {
     ///
     /// Propagates resolution and connection failures.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        let addr = resolve(addr)?;
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(Client {
-            stream,
-            reader: FrameReader::new(),
-            addr,
-            connect_timeout: None,
-            read_timeout: None,
-        })
+        Client::from_stream(TcpStream::connect(addr)?)
     }
 
     /// Connects with a bounded connect timeout (first resolved
-    /// address), remembered for later [`Client::reconnect`] calls.
+    /// address).
     ///
     /// # Errors
     ///
     /// Propagates resolution and connection failures.
     pub fn connect_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Client> {
-        let addr = resolve(addr)?;
-        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing")
+        })?;
+        Client::from_stream(TcpStream::connect_timeout(&addr, timeout)?)
+    }
+
+    /// A client over a freshly connected stream.
+    fn from_stream(stream: TcpStream) -> io::Result<Client> {
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
             reader: FrameReader::new(),
-            addr,
-            connect_timeout: Some(timeout),
             read_timeout: None,
         })
     }
@@ -80,33 +71,6 @@ impl Client {
         self.stream.set_read_timeout(Some(timeout))?;
         self.read_timeout = Some(timeout);
         Ok(self)
-    }
-
-    /// The peer address this client dials.
-    pub fn peer(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Drops the current connection and dials the remembered address
-    /// again, discarding any half-received frame. The coordinator calls
-    /// this between retries so one wedged connection cannot poison the
-    /// next attempt.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection failures (the old stream is already gone).
-    pub fn reconnect(&mut self) -> io::Result<()> {
-        let stream = match self.connect_timeout {
-            Some(t) => TcpStream::connect_timeout(&self.addr, t)?,
-            None => TcpStream::connect(self.addr)?,
-        };
-        stream.set_nodelay(true)?;
-        if let Some(t) = self.read_timeout {
-            stream.set_read_timeout(Some(t))?;
-        }
-        self.stream = stream;
-        self.reader = FrameReader::new();
-        Ok(())
     }
 
     /// Sends one request and blocks for its response, honoring the
@@ -135,7 +99,7 @@ impl Client {
     }
 
     fn call_inner(&mut self, request: &Request, budget: Option<Duration>) -> io::Result<Response> {
-        (&mut &self.stream).write_all(&frame_bytes(&request.encode())?)?;
+        write_frame(&mut &self.stream, &request.encode())?;
         let start = Instant::now();
         loop {
             if let Some(budget) = budget {
@@ -242,21 +206,6 @@ impl Client {
     }
 }
 
-fn resolve(addr: impl ToSocketAddrs) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "address resolves to nothing"))
-}
-
-/// Encodes one frame into a standalone buffer (header + payload), so a
-/// call site without a buffered writer still sends it in one
-/// `write_all`.
-fn frame_bytes(payload: &[u8]) -> io::Result<Vec<u8>> {
-    let mut buf = Vec::with_capacity(4 + payload.len());
-    write_frame(&mut buf, payload)?;
-    Ok(buf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,44 +252,5 @@ mod tests {
             "deadline governed the wait: {waited:?}"
         );
         hold.join().unwrap();
-    }
-
-    #[test]
-    fn reconnect_dials_the_same_peer_with_a_fresh_stream() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            // Accept two connections; answer a ping only on the second.
-            let (first, _) = listener.accept().unwrap();
-            drop(first); // hang up on the first connection immediately
-            let (second, _) = listener.accept().unwrap();
-            let mut fr = FrameReader::new();
-            let mut s = &second;
-            loop {
-                match fr.read(&mut s).unwrap() {
-                    ReadOutcome::Frame(p) => {
-                        assert_eq!(Request::decode(&p).unwrap(), Request::Ping);
-                        let resp = Response::Pong { info: None }.encode();
-                        write_frame(&mut s, &resp).unwrap();
-                        break;
-                    }
-                    ReadOutcome::Eof => panic!("client hung up early"),
-                    ReadOutcome::TimedOut => continue,
-                }
-            }
-        });
-
-        let mut client = Client::connect_timeout(addr, Duration::from_secs(1))
-            .unwrap()
-            .with_read_timeout(Duration::from_millis(500))
-            .unwrap();
-        // First connection is dead: the call fails one way or another
-        // (EOF or reset, depending on timing).
-        assert!(client.ping().is_err());
-        // Reconnect and succeed.
-        client.reconnect().unwrap();
-        assert_eq!(client.ping_info().unwrap(), None);
-        assert_eq!(client.peer(), addr);
-        server.join().unwrap();
     }
 }

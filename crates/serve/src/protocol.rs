@@ -7,11 +7,11 @@
 //! payload vocabulary is deliberately small — four request verbs, seven
 //! response verbs — and every message is a JSON object whose `verb`
 //! field selects the variant, so the protocol stays greppable in a
-//! packet capture. The rest of a payload is written and read through
-//! its codec (`dtm_harness::codec`), and a field a `simulate` request
-//! or a response does not know is an error. A request with an unknown
-//! verb or field gets an explicit error response, not a dead
-//! connection.
+//! packet capture. The rest of every payload is written and read
+//! through its codec (`dtm_harness::codec`), so a field a payload does
+//! not know is an error; the control verbs take no fields. A request
+//! with an unknown verb or field gets an explicit error response, not a
+//! dead connection.
 
 use crate::request::SimRequest;
 use dtm_core::RunResult;
@@ -196,10 +196,11 @@ fn frame(verb: &str, payload: Json) -> Vec<u8> {
 }
 
 impl Request {
-    /// Encodes the request as a JSON payload.
+    /// Encodes the request as a JSON payload: the verb, then the
+    /// payload's fields.
     pub fn encode(&self) -> Vec<u8> {
         let (verb, payload) = match self {
-            Request::Simulate(req) => ("simulate", Json::Obj(req.to_fields())),
+            Request::Simulate(req) => ("simulate", req.to_json()),
             Request::Metrics => ("metrics", Json::Obj(Vec::new())),
             Request::Ping => ("ping", Json::Obj(Vec::new())),
             Request::Shutdown => ("shutdown", Json::Obj(Vec::new())),
@@ -207,7 +208,8 @@ impl Request {
         frame(verb, payload)
     }
 
-    /// Decodes a request payload.
+    /// Decodes a request payload. Every field but the verb is read
+    /// through the payload's codec; the control verbs take none.
     ///
     /// # Errors
     ///
@@ -216,17 +218,15 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Request, String> {
         let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
         let json = Json::parse(text).map_err(|e| format!("malformed request: {e}"))?;
-        let verb = json
-            .field("verb")
-            .and_then(|v| v.as_str())
-            .map_err(|_| "request has no string `verb` field".to_string())?;
-        match verb {
-            "simulate" => Ok(Request::Simulate(Box::new(SimRequest::from_json(&json)?))),
-            "metrics" => Ok(Request::Metrics),
-            "ping" => Ok(Request::Ping),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(format!("unknown verb `{other}`")),
-        }
+        let (verb, rest) = split_verb(json).ok_or("request has no string `verb` field")?;
+        let decoded = match verb.as_str() {
+            "simulate" => SimRequest::from_json(&rest).map(|r| Request::Simulate(Box::new(r))),
+            "metrics" => no_fields(&rest).map(|()| Request::Metrics),
+            "ping" => no_fields(&rest).map(|()| Request::Ping),
+            "shutdown" => no_fields(&rest).map(|()| Request::Shutdown),
+            other => return Err(format!("unknown verb `{other}`")),
+        };
+        decoded.map_err(|e| format!("bad `{verb}` request: {e}"))
     }
 }
 
@@ -241,22 +241,32 @@ pub enum ResultSource {
     Disk,
 }
 
-impl JsonCodec for ResultSource {
-    fn to_json(&self) -> Json {
-        Json::str(match self {
+impl ResultSource {
+    /// The source's wire spelling.
+    pub fn wire_name(self) -> &'static str {
+        match self {
             ResultSource::Simulated => "sim",
             ResultSource::Memo => "memo",
             ResultSource::Disk => "disk",
-        })
+        }
+    }
+}
+
+impl JsonCodec for ResultSource {
+    fn to_json(&self) -> Json {
+        Json::str(self.wire_name())
     }
 
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str()? {
-            "sim" => Ok(ResultSource::Simulated),
-            "memo" => Ok(ResultSource::Memo),
-            "disk" => Ok(ResultSource::Disk),
-            other => Err(JsonError(format!("unknown result source `{other}`"))),
-        }
+        let name = v.as_str()?;
+        [
+            ResultSource::Simulated,
+            ResultSource::Memo,
+            ResultSource::Disk,
+        ]
+        .into_iter()
+        .find(|s| s.wire_name() == name)
+        .ok_or_else(|| JsonError(format!("unknown result source `{name}`")))
     }
 }
 
@@ -384,10 +394,7 @@ impl Response {
             // A server that predates the handshake sends a bare pong.
             "pong" if rest == Json::Obj(Vec::new()) => Ok(Response::Pong { info: None }),
             "pong" => ServerInfo::from_json(&rest).map(|i| Response::Pong { info: Some(i) }),
-            "shutting-down" => rest
-                .fields()
-                .and_then(|o| o.end())
-                .map(|()| Response::ShuttingDown),
+            "shutting-down" => no_fields(&rest).map(|()| Response::ShuttingDown),
             other => return Err(format!("unknown response verb `{other}`")),
         };
         decoded.map_err(|e| format!("bad `{verb}` response: {e}"))
@@ -405,6 +412,11 @@ fn split_verb(json: Json) -> Option<(String, Json)> {
         Json::Str(verb) => Some((verb, Json::Obj(pairs))),
         _ => None,
     }
+}
+
+/// Fails unless `payload` is an empty object.
+fn no_fields(payload: &Json) -> Result<(), JsonError> {
+    payload.fields()?.end()
 }
 
 /// The value of the field `name`, which must be the object's only one.
@@ -515,6 +527,22 @@ mod tests {
         assert!(Request::decode(br#"{"verb":"dance"}"#)
             .unwrap_err()
             .contains("dance"));
+        // A control verb takes no fields, and a bad value deep in a
+        // `simulate` payload is named by its path.
+        for (frame, needle) in [
+            (
+                &br#"{"verb":"ping","x":1}"#[..],
+                "bad `ping` request: json error: unknown",
+            ),
+            (br#"{"verb":"shutdown","verb":"ping"}"#, "field `verb`"),
+            (
+                br#"{"verb":"simulate","policy":"p","dtm":{"threshold":"hot"}}"#,
+                "bad `simulate` request: json error: bad `dtm`: bad `threshold`: ",
+            ),
+        ] {
+            let err = Request::decode(frame).unwrap_err();
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! content address, and therefore shares its cache entries.
 
 use dtm_core::{DtmConfig, FaultConfig, FaultKind, GainScheduleConfig, PolicySpec, SimConfig};
-use dtm_harness::codec::JsonCodec;
-use dtm_harness::json::{Fields, Json};
+use dtm_harness::codec::struct_codec;
 use dtm_harness::ConfigVariant;
 use dtm_workloads::Workload;
 
@@ -35,9 +34,10 @@ pub const MAX_STALE_DELAY_S: f64 = 0.5;
 ///
 /// `workload` names a standard Table 4 workload by id (or display
 /// name); `benchmarks` instead spells out an explicit 4-tuple of
-/// catalog benchmarks. `dtm` and `faults` carry whole configs through
-/// the harness codec; everything absent stays at the server default, so
-/// a bare `{"workload":"...","policy":"..."}` request is a
+/// catalog benchmarks. Every field goes through the harness codec, so
+/// `dtm` and `faults` carry whole configs and a field the request does
+/// not know is an error; everything absent stays at the server default,
+/// so a bare `{"workload":"...","policy":"..."}` request is a
 /// paper-default cell.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimRequest {
@@ -45,7 +45,7 @@ pub struct SimRequest {
     /// `benchmarks`).
     pub workload: Option<String>,
     /// Explicit benchmark names (exclusive with `workload`).
-    pub benchmarks: Vec<String>,
+    pub benchmarks: Option<Vec<String>>,
     /// Policy triple in wire spelling, e.g. `dvfs/dist/sensor`.
     pub policy: String,
     /// Simulated duration override (s).
@@ -63,6 +63,9 @@ pub struct SimRequest {
     pub faults: Option<FaultConfig>,
 }
 
+struct_codec!(SimRequest; workload, benchmarks, policy, duration_s, cores, seed, deadline_ms,
+    dtm, faults);
+
 impl SimRequest {
     /// A paper-default request for a standard workload and wire policy.
     pub fn standard(workload: &str, policy: &str) -> Self {
@@ -71,71 +74,6 @@ impl SimRequest {
             policy: policy.to_string(),
             ..SimRequest::default()
         }
-    }
-
-    /// Serializes into the JSON fields embedded in a `simulate` frame:
-    /// every field that is set, through its codec.
-    pub fn to_fields(&self) -> Vec<(String, Json)> {
-        let SimRequest {
-            workload,
-            benchmarks,
-            policy,
-            duration_s,
-            cores,
-            seed,
-            deadline_ms,
-            dtm,
-            faults,
-        } = self;
-        let fields = [
-            ("workload", workload.as_ref().map(JsonCodec::to_json)),
-            (
-                "benchmarks",
-                (!benchmarks.is_empty()).then(|| benchmarks.to_json()),
-            ),
-            ("policy", Some(policy.to_json())),
-            ("duration_s", duration_s.as_ref().map(JsonCodec::to_json)),
-            ("cores", cores.as_ref().map(JsonCodec::to_json)),
-            ("seed", seed.as_ref().map(JsonCodec::to_json)),
-            ("deadline_ms", deadline_ms.as_ref().map(JsonCodec::to_json)),
-            ("dtm", dtm.as_ref().map(JsonCodec::to_json)),
-            ("faults", faults.as_ref().map(JsonCodec::to_json)),
-        ];
-        fields
-            .into_iter()
-            .filter_map(|(k, v)| Some((k.to_string(), v?)))
-            .collect()
-    }
-
-    /// Decodes the request fields of a `simulate` frame.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first malformed field, and rejects any field the
-    /// request does not know.
-    pub fn from_json(json: &Json) -> Result<SimRequest, String> {
-        /// An optional field, read through its codec.
-        fn opt<T: JsonCodec>(o: &mut Fields<'_>, name: &str) -> Result<Option<T>, String> {
-            o.opt(name)
-                .map(T::from_json)
-                .transpose()
-                .map_err(|e| format!("bad `{name}`: {e}"))
-        }
-        let mut o = json.fields().map_err(|e| format!("bad request: {e}"))?;
-        o.opt("verb");
-        let req = SimRequest {
-            workload: opt(&mut o, "workload")?,
-            benchmarks: opt(&mut o, "benchmarks")?.unwrap_or_default(),
-            policy: opt(&mut o, "policy")?.ok_or("bad `policy`: missing")?,
-            duration_s: opt(&mut o, "duration_s")?,
-            cores: opt(&mut o, "cores")?,
-            seed: opt(&mut o, "seed")?,
-            deadline_ms: opt(&mut o, "deadline_ms")?,
-            dtm: opt(&mut o, "dtm")?,
-            faults: opt(&mut o, "faults")?,
-        };
-        o.end().map_err(|e| format!("bad request: {e}"))?;
-        Ok(req)
     }
 
     /// Validates the request against a base configuration and resolves
@@ -147,17 +85,14 @@ impl SimRequest {
     /// unparsable policy, a value outside the wire's bounds, or a DTM
     /// config that [`DtmConfig::validate`] rejects.
     pub fn resolve(&self, base_sim: &SimConfig) -> Result<ResolvedRequest, String> {
-        let workload = match (&self.workload, self.benchmarks.is_empty()) {
-            (Some(_), false) => {
+        let workload = match (&self.workload, &self.benchmarks) {
+            (Some(_), Some(_)) => {
                 return Err("request names both `workload` and `benchmarks`".to_string())
             }
-            (Some(name), true) => Workload::standard(name)
+            (Some(name), None) => Workload::standard(name)
                 .ok_or_else(|| format!("unknown standard workload `{name}`"))?,
-            (None, false) => {
-                let id = self.benchmarks.join("-");
-                Workload::try_from_names(id, &self.benchmarks)?
-            }
-            (None, true) => {
+            (None, Some(names)) => Workload::try_from_names(names.join("-"), names)?,
+            (None, None) => {
                 return Err("request names neither `workload` nor `benchmarks`".to_string())
             }
         };
@@ -319,6 +254,7 @@ mod tests {
     use super::*;
     use crate::protocol::Request;
     use dtm_core::{FallbackKind, FaultEvent, FaultScenario, FaultTarget, WatchdogConfig};
+    use dtm_harness::codec::JsonCodec;
     use proptest::prelude::*;
     use FaultKind::*;
     use GainScheduleConfig::{Fixed, Rao, SelfTuning};
@@ -357,12 +293,17 @@ mod tests {
         edited(|r| r.dtm = Some(dtm))
     }
 
-    /// Decodes a frame's text and resolves it, as the server does.
-    fn serve(text: &str, base: &SimConfig) -> Result<ResolvedRequest, String> {
+    /// Decodes a frame's text, as the server does.
+    fn decode(text: &str) -> Result<SimRequest, String> {
         match Request::decode(text.as_bytes())? {
-            Request::Simulate(req) => req.resolve(base),
+            Request::Simulate(req) => Ok(*req),
             other => panic!("not a simulate frame: {other:?}"),
         }
+    }
+
+    /// Decodes a frame's text and resolves it, as the server does.
+    fn serve(text: &str, base: &SimConfig) -> Result<ResolvedRequest, String> {
+        decode(text)?.resolve(base)
     }
 
     /// Asserts each frame is answered with an error naming its needle.
@@ -390,7 +331,12 @@ mod tests {
     fn wire_round_trip_preserves_every_field() {
         let req = SimRequest {
             workload: None,
-            benchmarks: vec!["gzip".into(), "mcf".into(), "ammp".into(), "art".into()],
+            benchmarks: Some(vec![
+                "gzip".into(),
+                "mcf".into(),
+                "ammp".into(),
+                "art".into(),
+            ]),
             policy: "dvfs/dist/sensor".into(),
             duration_s: Some(0.25),
             cores: Some(4),
@@ -407,8 +353,54 @@ mod tests {
             }),
             faults: Some(custom_faults()),
         };
-        let back = SimRequest::from_json(&Json::parse(&frame(&req)).unwrap()).unwrap();
-        assert_eq!(back, req);
+        assert_eq!(decode(&frame(&req)).unwrap(), req);
+    }
+
+    #[test]
+    fn simulate_frame_bytes_are_pinned() {
+        // The bytes a client sends; a change here is a protocol change.
+        assert_eq!(
+            frame(&std_req()),
+            r#"{"verb":"simulate","workload":"gzip-twolf-ammp-lucas","policy":"dvfs/dist/sensor"}"#
+        );
+        // Every field set, `workload` and `benchmarks` both (which
+        // `resolve` rejects, but the encoder writes).
+        let full = SimRequest {
+            workload: Some("workload1".into()),
+            benchmarks: vec!["gzip".into(), "mcf".into(), "ammp".into(), "art".into()].into(),
+            policy: "dvfs/dist/sensor".into(),
+            duration_s: Some(0.25),
+            cores: Some(4),
+            seed: Some(7),
+            deadline_ms: Some(500),
+            dtm: Some(DtmConfig {
+                threshold: 90.0,
+                gain_schedule: Rao {
+                    alpha: 1.5,
+                    tau_s: 0.003,
+                },
+                ..DtmConfig::default()
+            }),
+            faults: Some(custom_faults()),
+        };
+        let bytes = concat!(
+            r#"{"verb":"simulate","workload":"workload1","#,
+            r#""benchmarks":["gzip","mcf","ammp","art"],"policy":"dvfs/dist/sensor","#,
+            r#""duration_s":0.25,"cores":4,"seed":7,"deadline_ms":500,"#,
+            r#""dtm":{"threshold":90.0,"stopgo_trip_margin":0.2,"stopgo_stall":0.03,"#,
+            r#""dvfs_setpoint_margin":2.4,"dvfs_min_scale":0.2,"dvfs_min_transition":0.02,"#,
+            r#""dvfs_transition_penalty":1e-5,"migration_penalty":0.0001,"os_tick":0.001,"#,
+            r#""migration_interval":0.01,"pi_kp":0.0107,"pi_ki":248.5,"#,
+            r#""gain_schedule":{"type":"Rao","alpha":1.5,"tau_s":0.003}},"#,
+            r#""faults":{"scenario":{"name":"custom","events":["#,
+            r#"{"start":0.002,"end":0.006,"target":{"type":"Sensor","core":1,"index":0},"#,
+            r#""kind":{"type":"SensorDrift","rate":-40.0}},"#,
+            r#"{"start":0.004,"end":inf,"target":{"type":"Core","core":2},"#,
+            r#""kind":{"type":"DvfsStuck"}}]},"#,
+            r#""watchdog":{"enabled":true,"max_step":6.0,"max_deviation":40.0,"#,
+            r#""fallback":{"type":"FreqFloor"},"min_hold":0.001}}}"#,
+        );
+        assert_eq!(frame(&full), bytes);
     }
 
     /// A `DtmConfig` and a `FaultConfig` built from raw draws, reaching
@@ -509,7 +501,7 @@ mod tests {
         ) {
             let (dtm, faults) = configs(&draws, events);
             let req = SimRequest { dtm: Some(dtm), faults: Some(faults), ..std_req() };
-            let back = SimRequest::from_json(&Json::parse(&frame(&req)).unwrap()).unwrap();
+            let back = decode(&frame(&req)).unwrap();
             prop_assert_eq!(format!("{back:?}"), format!("{req:?}"));
             // `read` decodes both alike; their enums go through its
             // default, the tree.
@@ -664,7 +656,7 @@ mod tests {
             (edited(|r| r.cores = Some(0)), "out of range"),
             (dtm_frame(|d| d.threshold = f64::NAN), "out of range"),
             (meltdown, "unknown FaultKind `Meltdown`"),
-            (edited(|r| r.benchmarks = vec!["gzip".into()]), "both"),
+            (edited(|r| r.benchmarks = Some(vec!["gzip".into()])), "both"),
         ]);
     }
 
@@ -736,7 +728,12 @@ mod tests {
     #[test]
     fn explicit_benchmark_tuples_resolve() {
         let req = SimRequest {
-            benchmarks: vec!["gzip".into(), "mcf".into(), "ammp".into(), "art".into()],
+            benchmarks: Some(vec![
+                "gzip".into(),
+                "mcf".into(),
+                "ammp".into(),
+                "art".into(),
+            ]),
             policy: "dvfs/global/counter".into(),
             ..SimRequest::default()
         };

@@ -222,6 +222,18 @@ fn expired_deadlines_are_answered_with_timeout() {
     assert!(report.fully_drained(), "report: {report:?}");
 }
 
+/// Polls `done` every millisecond until it holds, failing after 60 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let start = std::time::Instant::now();
+    while !done() {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn admission_control_rejects_rather_than_buffers() {
     let mut cfg = ServerConfig::fast_test();
@@ -229,19 +241,36 @@ fn admission_control_rejects_rather_than_buffers() {
     cfg.queue_capacity = 1;
     let server = Server::spawn(cfg).unwrap();
     let addr = server.addr();
+    let accepted = || server.stats().accepted.get();
 
-    // Fill the worker, then the 1-slot queue, then overflow.
+    // Occupy the one worker with a cell 40 times the burst's…
     let t1 = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.simulate(cold_request(200)).unwrap()
+        let long = SimRequest {
+            duration_s: Some(0.2),
+            ..cold_request(200)
+        };
+        c.simulate(long).unwrap()
     });
-    std::thread::sleep(Duration::from_millis(10));
+    wait_until("the long cell's admission", || accepted() == 1);
+    // …then fill the 1-slot queue. Until the worker has taken the long
+    // cell off the queue, admission control refuses this request, so
+    // it retries until admitted and counts the refusals.
     let t2 = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.simulate(cold_request(201)).unwrap()
+        let mut refused = 0;
+        loop {
+            match c.simulate(cold_request(201)).unwrap() {
+                Response::Overloaded { .. } => refused += 1,
+                answer => return (answer, refused),
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     });
-    std::thread::sleep(Duration::from_millis(10));
+    wait_until("the queued cell's admission", || accepted() == 2);
 
+    // The worker is on the long cell and the queue is full: a burst
+    // is rejected, not buffered.
     let mut overflow = Client::connect(addr).unwrap();
     let mut rejections = 0;
     for seed in 300..310 {
@@ -254,11 +283,12 @@ fn admission_control_rejects_rather_than_buffers() {
         "a 1-deep queue behind a busy worker must reject part of a 10-burst"
     );
     assert!(matches!(t1.join().unwrap(), Response::Result(_)));
-    assert!(matches!(t2.join().unwrap(), Response::Result(_)));
+    let (answer, refused) = t2.join().unwrap();
+    assert!(matches!(answer, Response::Result(_)));
 
     let report = server.shutdown();
     assert!(report.fully_drained(), "report: {report:?}");
-    assert_eq!(report.rejected, rejections);
+    assert_eq!(report.rejected, rejections + refused);
 }
 
 /// The acceptance test for graceful drain: initiate shutdown while

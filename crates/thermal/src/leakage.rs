@@ -73,11 +73,6 @@ impl LeakageModel {
         self.p_ref.is_empty()
     }
 
-    /// Reference leakage at `t_ref` for each block (W).
-    pub fn reference_power(&self) -> &[f64] {
-        &self.p_ref
-    }
-
     /// Leakage power (W) of every block at the given temperatures (°C).
     ///
     /// # Panics

@@ -549,13 +549,6 @@ impl TransientSolver {
         self.temps[block]
     }
 
-    /// Resets every node to a uniform temperature (and clears the
-    /// sub-block fast mode).
-    pub fn set_uniform(&mut self, t: f64) {
-        self.temps.fill(t);
-        self.fast_delta.fill(0.0);
-    }
-
     /// Sub-block hotspot excess per block (°C).
     pub fn fast_excess(&self) -> &[f64] {
         &self.fast_delta

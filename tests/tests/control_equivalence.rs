@@ -22,7 +22,7 @@ use dtm_core::{DtmConfig, Experiment, PolicySpec, RunResult, SimConfig};
 use dtm_harness::codec::result_to_json;
 use dtm_harness::json::Json;
 use dtm_harness::{cell_key, CellKey};
-use dtm_serve::SimRequest;
+use dtm_serve::{Request, SimRequest};
 use dtm_tests::{fast_experiment, mixed_workload, run};
 use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary};
 
@@ -237,7 +237,7 @@ fn adaptive_overshoot_stays_within_the_fixed_gain_band() {
 #[test]
 fn wire_path_replays_byte_identically_and_keys_are_stable() {
     // A request selecting the Rao schedule with explicit parameters
-    // rides the serve codec (emit → parse → decode → resolve) and runs
+    // rides the serve codec (encode → decode → resolve) and runs
     // twice from the same seed: the encoded results must be equal byte
     // for byte, and equal to a run constructed directly from the
     // config — the wire adds nothing and loses nothing.
@@ -252,12 +252,11 @@ fn wire_path_replays_byte_identically_and_keys_are_stable() {
         seed: Some(7),
         ..SimRequest::standard("gzip-twolf-ammp-lucas", "dvfs/dist/sensor")
     };
-    let mut fields = vec![("verb".into(), Json::str("simulate"))];
-    fields.extend(req.to_fields());
-    let wire = Json::Obj(fields).emit();
-    let decoded =
-        SimRequest::from_json(&Json::parse(&wire).expect("frame parses")).expect("request decodes");
-    assert_eq!(decoded, req, "wire round-trip must be lossless");
+    let wire = Request::Simulate(Box::new(req.clone())).encode();
+    let Request::Simulate(decoded) = Request::decode(&wire).expect("request decodes") else {
+        panic!("not a simulate frame");
+    };
+    assert_eq!(*decoded, req, "wire round-trip must be lossless");
 
     let base_sim = SimConfig {
         duration: 0.04,
