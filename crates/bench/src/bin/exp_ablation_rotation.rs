@@ -9,11 +9,12 @@
 
 use dtm_bench::{mean_bips, mean_duty};
 use dtm_core::{
-    Experiment, MigrationKind, PolicySpec, RotationMigration, RunResult, Scope, ThrottleKind,
+    DtmConfig, Experiment, MigrationKind, PolicySpec, RotationMigration, RunResult, Scope,
+    ThrottleKind,
 };
 use dtm_dist::run_with_args;
 use dtm_harness::{SweepArgs, SweepSpec};
-use dtm_workloads::standard_workloads;
+use dtm_workloads::{standard_workloads, TraceLibrary, TRACE_STORE};
 
 fn main() {
     let args = SweepArgs::from_env();
@@ -31,7 +32,8 @@ fn main() {
         .collect();
 
     // Blind rotation: same stop-go substrate, custom migration policy.
-    let exp = Experiment::paper_defaults().with_sim(args.sim_config());
+    let traces = TraceLibrary::default().with_disk_cache(TRACE_STORE);
+    let exp = Experiment::new(traces, args.sim_config(), DtmConfig::default());
     let rotation_runs = standard_workloads()
         .iter()
         .map(|w| {

@@ -10,16 +10,18 @@
 //! steps it directly and uses only the duration of the shared flags
 //! (at least 0.1 s, so the window holds several migrations).
 
-use dtm_core::{Experiment, MigrationKind, PolicySpec, Scope, SimConfig, ThrottleKind};
+use dtm_core::{DtmConfig, Experiment, MigrationKind, PolicySpec, Scope, SimConfig, ThrottleKind};
 use dtm_harness::SweepArgs;
-use dtm_workloads::standard_workloads;
+use dtm_workloads::{standard_workloads, TraceLibrary, TRACE_STORE};
 
 fn main() {
     let args = SweepArgs::from_env();
-    let exp = Experiment::paper_defaults().with_sim(SimConfig {
+    let sim = SimConfig {
         duration: args.duration.max(0.1),
         ..SimConfig::default()
-    });
+    };
+    let traces = TraceLibrary::default().with_disk_cache(TRACE_STORE);
+    let exp = Experiment::new(traces, sim, DtmConfig::default());
     let workload = &standard_workloads()[6]; // gzip-twolf-ammp-lucas
     let policy = PolicySpec::new(
         ThrottleKind::Dvfs,

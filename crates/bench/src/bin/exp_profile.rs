@@ -30,7 +30,7 @@ use dtm_core::{
     DtmConfig, MigrationKind, ObsHandle, PolicySpec, Scope, SimConfig, ThrottleKind, ENGINE_PHASES,
 };
 use dtm_harness::{cli, ConfigVariant, SweepArgs, SweepResults, SweepRunner, SweepSpec, Table};
-use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary, Workload};
+use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary, Workload, TRACE_STORE};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,7 +63,7 @@ fn profile_grid(smoke: bool, duration: f64) -> (TraceLibrary, SweepSpec) {
             ));
         (lib, spec)
     } else {
-        let lib = TraceLibrary::default().with_disk_cache("target/trace-cache");
+        let lib = TraceLibrary::default().with_disk_cache(TRACE_STORE);
         // Two representative mixes × three throttling styles keeps a
         // timing pass short enough to repeat.
         let workloads: Vec<Workload> = standard_workloads()

@@ -37,11 +37,11 @@
 //! Compare the paper's baseline with its best policy on one workload:
 //!
 //! ```no_run
-//! use dtm_core::{Experiment, PolicySpec};
-//! use dtm_workloads::standard_workloads;
+//! use dtm_core::{DtmConfig, Experiment, PolicySpec, SimConfig};
+//! use dtm_workloads::{standard_workloads, TraceLibrary};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let exp = Experiment::paper_defaults();
+//! let exp = Experiment::new(TraceLibrary::default(), SimConfig::default(), DtmConfig::default());
 //! let workload = &standard_workloads()[6]; // gzip-twolf-ammp-lucas
 //! let base = exp.run(workload, PolicySpec::baseline())?;
 //! let best = exp.run(workload, PolicySpec::best())?;

@@ -23,11 +23,11 @@ use std::sync::Arc;
 /// # Examples
 ///
 /// ```no_run
-/// use dtm_core::{Experiment, PolicySpec};
-/// use dtm_workloads::standard_workloads;
+/// use dtm_core::{DtmConfig, Experiment, PolicySpec, SimConfig};
+/// use dtm_workloads::{standard_workloads, TraceLibrary};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let exp = Experiment::paper_defaults();
+/// let exp = Experiment::new(TraceLibrary::default(), SimConfig::default(), DtmConfig::default());
 /// let w = &standard_workloads()[0];
 /// let baseline = exp.run(w, PolicySpec::baseline())?;
 /// let best = exp.run(w, PolicySpec::best())?;
@@ -61,17 +61,6 @@ impl Experiment {
             faults: FaultConfig::ideal(),
             obs: ObsHandle::disabled(),
         }
-    }
-
-    /// The study's configuration: 4 cores, 0.5 s runs, 84.2 °C limit.
-    /// Traces are cached on disk under `target/trace-cache` so repeated
-    /// experiment processes skip regeneration.
-    pub fn paper_defaults() -> Self {
-        Experiment::new(
-            TraceLibrary::default().with_disk_cache("target/trace-cache"),
-            SimConfig::default(),
-            DtmConfig::default(),
-        )
     }
 
     /// A fast configuration for tests: short traces and runs.

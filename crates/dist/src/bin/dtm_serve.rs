@@ -6,27 +6,33 @@
 //!           [--cache-dir PATH] [--ledger-file PATH] [--port-file PATH]
 //! ```
 //!
-//! Binds (port 0 = ephemeral), prints the bound address on stdout, and
-//! serves until a client sends the `shutdown` verb, then drains
-//! gracefully and exits 0 (non-zero if the drain accounting fails).
-//! The result cache and the ledger stay off unless `--cache-dir` or
-//! `--ledger-file` says where they live, so two servers never share
-//! on-disk state by accident. `--port-file` writes the bound port to a
-//! file so scripts (the CI smoke jobs) can discover an ephemeral port
-//! race-free.
+//! Loads the paper traces from the sweep binaries' trace store
+//! (`target/trace-cache`), generating and storing any it lacks;
+//! `--fast-traces` generates its short test traces in memory and writes
+//! nothing. Then binds (port 0 = ephemeral), prints the bound address on
+//! stdout, and serves until a client sends the `shutdown` verb, then
+//! drains gracefully and exits 0 (non-zero if the drain accounting
+//! fails). The result cache and the ledger stay off unless
+//! `--cache-dir` or `--ledger-file` says where they live, so two servers
+//! never share a cache or a ledger by accident (sharing the trace store
+//! is safe: every writer publishes whole files, under names fixed by the
+//! traces' inputs). `--port-file` writes the bound port to a file so
+//! scripts (the CI smoke jobs) can discover an ephemeral port race-free.
 //!
 //! The binary lives in `dtm-dist` so that crate's integration tests can
 //! spawn it as a fleet worker.
 
 use dtm_harness::{cli, Ledger, ResultCache};
 use dtm_serve::{Server, ServerConfig};
+use dtm_workloads::TRACE_STORE;
 use std::time::Duration;
 
 const USAGE: &str = "\
 usage: dtm_serve [--addr HOST:PORT] [--workers N] [--queue N] [--fast-traces]
                  [--cache-dir PATH] [--ledger-file PATH] [--port-file PATH]
-The result cache and the ledger are off unless --cache-dir or
---ledger-file is given.";
+Paper traces are read from and added to target/trace-cache;
+--fast-traces generates test-length traces in memory. The result cache
+and the ledger are off unless --cache-dir or --ledger-file is given.";
 
 /// The server's configuration and its port file. An unknown flag or a
 /// missing or unparsable value is an `Err` naming the problem; `--help`
@@ -34,7 +40,10 @@ The result cache and the ledger are off unless --cache-dir or
 fn parse_args(
     args: impl IntoIterator<Item = String>,
 ) -> Result<(ServerConfig, Option<String>), String> {
-    let mut cfg = ServerConfig::default();
+    let mut cfg = ServerConfig {
+        trace_store: Some(TRACE_STORE.into()),
+        ..ServerConfig::default()
+    };
     let mut port_file = None;
     let mut args = args.into_iter();
     while let Some(flag) = args.next() {
@@ -49,6 +58,7 @@ fn parse_args(
             "--queue" => cfg.queue_capacity = count(value()?)?,
             "--fast-traces" => {
                 cfg.tracegen = dtm_workloads::TraceGenConfig::fast_test();
+                cfg.trace_store = None;
                 cfg.base_sim = dtm_core::SimConfig::fast_test();
             }
             "--cache-dir" => cfg.cache = Some(ResultCache::new(value()?)),

@@ -15,7 +15,7 @@ use crate::ledger::Ledger;
 use crate::progress::Progress;
 use crate::sweep::{CellIndex, CellOutcome, SweepResults, SweepSpec};
 use dtm_core::{Experiment, LockstepBatch, ObsHandle, SimError, SolverBackend};
-use dtm_workloads::{Benchmark, TraceLibrary};
+use dtm_workloads::{Benchmark, TraceLibrary, TRACE_STORE};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -375,13 +375,13 @@ impl SweepRunner {
         }
     }
 
-    /// The standard experiment configuration: paper-default traces with
-    /// the on-disk trace cache, the result cache under `results/cache/`,
-    /// the ledger at `results/ledger.jsonl`, and progress reporting on
-    /// stderr.
+    /// The standard experiment configuration: paper-default traces in
+    /// the on-disk trace store [`TRACE_STORE`], the result cache under
+    /// `results/cache/`, the ledger at `results/ledger.jsonl`, and
+    /// progress reporting on stderr.
     pub fn paper_defaults() -> Self {
         SweepRunner {
-            lib: Arc::new(TraceLibrary::default().with_disk_cache("target/trace-cache")),
+            lib: Arc::new(TraceLibrary::default().with_disk_cache(TRACE_STORE)),
             workers: None,
             lanes: None,
             cache: Some(ResultCache::default_location()),

@@ -271,7 +271,9 @@ impl Histogram {
         }
     }
 
-    /// The value at quantile `q` — see [`HistogramCore::quantile`].
+    /// The value at quantile `q` (0 ≤ q ≤ 1), reported as the upper
+    /// bound of the log₂ bucket containing that rank (at most 2× above
+    /// it). Returns 0 for an empty or disabled histogram.
     pub fn quantile(&self, q: f64) -> u64 {
         self.0.as_ref().map_or(0, |c| c.quantile(q))
     }

@@ -82,34 +82,51 @@ impl SimRequest {
     /// # Errors
     ///
     /// Describes the first invalid field — unknown workload/benchmark,
-    /// unparsable policy, a value outside the wire's bounds, or a DTM
-    /// config that [`DtmConfig::validate`] rejects.
+    /// a benchmark count other than the core count, unparsable policy, a
+    /// value outside the wire's bounds, or a DTM config that
+    /// [`DtmConfig::validate`] rejects.
     pub fn resolve(&self, base_sim: &SimConfig) -> Result<ResolvedRequest, String> {
+        let mut sim = base_sim.clone();
+        if let Some(c) = self.cores {
+            if c == 0 || c > MAX_CORES {
+                return Err(format!("cores {c} out of range [1, {MAX_CORES}]"));
+            }
+            sim.cores = c;
+        }
+        // One benchmark per core. An explicit list is checked before any
+        // name is resolved: until here only the frame size bounds it.
+        let per_core = |n: usize| {
+            if n == sim.cores {
+                Ok(())
+            } else {
+                Err(format!("{n} benchmarks for {} cores", sim.cores))
+            }
+        };
         let workload = match (&self.workload, &self.benchmarks) {
             (Some(_), Some(_)) => {
                 return Err("request names both `workload` and `benchmarks`".to_string())
             }
-            (Some(name), None) => Workload::standard(name)
-                .ok_or_else(|| format!("unknown standard workload `{name}`"))?,
-            (None, Some(names)) => Workload::try_from_names(names.join("-"), names)?,
+            (Some(name), None) => {
+                let w = Workload::standard(name)
+                    .ok_or_else(|| format!("unknown standard workload `{name}`"))?;
+                per_core(w.benchmarks.len())?;
+                w
+            }
+            (None, Some(names)) => {
+                per_core(names.len())?;
+                Workload::try_from_names(names.join("-"), names)?
+            }
             (None, None) => {
                 return Err("request names neither `workload` nor `benchmarks`".to_string())
             }
         };
         let policy = PolicySpec::parse_wire(&self.policy)?;
 
-        let mut sim = base_sim.clone();
         if let Some(d) = self.duration_s {
             if !d.is_finite() || d <= 0.0 || d > MAX_DURATION_S {
                 return Err(format!("duration_s {d} out of range (0, {MAX_DURATION_S}]"));
             }
             sim.duration = d;
-        }
-        if let Some(c) = self.cores {
-            if c == 0 || c > MAX_CORES {
-                return Err(format!("cores {c} out of range [1, {MAX_CORES}]"));
-            }
-            sim.cores = c;
         }
         if let Some(s) = self.seed {
             sim.seed = s;
@@ -657,6 +674,14 @@ mod tests {
             (dtm_frame(|d| d.threshold = f64::NAN), "out of range"),
             (meltdown, "unknown FaultKind `Meltdown`"),
             (edited(|r| r.benchmarks = Some(vec!["gzip".into()])), "both"),
+            (
+                frame(&SimRequest {
+                    benchmarks: Some(["gzip", "mcf", "ammp", "art", "eon"].map(Into::into).into()),
+                    ..SimRequest::default()
+                }),
+                "5 benchmarks for 4 cores",
+            ),
+            (edited(|r| r.cores = Some(2)), "4 benchmarks for 2 cores"),
         ]);
     }
 
@@ -721,6 +746,14 @@ mod tests {
             (
                 faults_frame(|f| f.scenario.events[0].kind = SensorStale { delay: 10.0 }),
                 "stale delay 10",
+            ),
+            // A 700 KB frame: refused before any name is resolved.
+            (
+                frame(&SimRequest {
+                    benchmarks: Some(vec!["gzip".into(); 100_000]),
+                    ..SimRequest::default()
+                }),
+                "100000 benchmarks for 4 cores",
             ),
         ]);
     }

@@ -37,6 +37,7 @@ use dtm_workloads::{standard_workloads, TraceGenConfig, TraceLibrary};
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -54,14 +55,18 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Trace-generation parameters for the shared library.
     pub tracegen: TraceGenConfig,
+    /// Trace store the library loads traces from and writes the ones it
+    /// generates to (see [`TraceLibrary::with_disk_cache`]); `None`
+    /// generates every trace in memory.
+    pub trace_store: Option<PathBuf>,
     /// Base simulation configuration requests override field-by-field.
     pub base_sim: dtm_core::SimConfig,
     /// On-disk result cache (shared keyspace with the sweep harness).
     pub cache: Option<ResultCache>,
     /// Ledger to append one provenance row per simulated request.
     pub ledger: Option<Ledger>,
-    /// Generate all standard-workload traces before accepting traffic,
-    /// so first requests do not pay trace generation.
+    /// Load or generate all standard-workload traces before accepting
+    /// traffic, so first requests do not pay for them.
     pub prewarm: bool,
     /// Handler poll interval: how often an idle connection checks the
     /// drain flag. Bounds shutdown latency from the handler side.
@@ -77,6 +82,7 @@ impl Default for ServerConfig {
                 .unwrap_or(4),
             queue_capacity: 256,
             tracegen: TraceGenConfig::default(),
+            trace_store: None,
             base_sim: dtm_core::SimConfig::default(),
             cache: None,
             ledger: None,
@@ -150,10 +156,14 @@ impl Server {
             cache.bind_obs(&obs);
         }
 
-        let lib = Arc::new(TraceLibrary::new(cfg.tracegen.clone()));
+        let mut lib = TraceLibrary::new(cfg.tracegen.clone());
+        if let Some(dir) = &cfg.trace_store {
+            lib = lib.with_disk_cache(dir);
+        }
+        let lib = Arc::new(lib);
         if cfg.prewarm {
-            // Generate every standard benchmark trace up front, in
-            // parallel, so the first wave of requests starts hot.
+            // Load or generate every standard benchmark trace up front,
+            // in parallel, so the first wave of requests starts hot.
             std::thread::scope(|s| {
                 for w in standard_workloads() {
                     let lib = &lib;

@@ -388,3 +388,64 @@ fn shutdown_verb_is_visible_on_the_handle() {
     assert!(server.shutdown_requested());
     assert!(server.shutdown().fully_drained());
 }
+
+/// Each file of a trace store: its name, bytes and modification time.
+fn store_listing(dir: &Path) -> Vec<(String, Vec<u8>, std::time::SystemTime)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let modified = e.metadata().unwrap().modified().unwrap();
+            let bytes = std::fs::read(e.path()).unwrap();
+            (e.file_name().into_string().unwrap(), bytes, modified)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn a_second_server_loads_the_trace_store_the_first_filled() {
+    let store = tmpdir("trace-store");
+    let requests = [
+        cold_request(1),
+        SimRequest {
+            workload: None,
+            benchmarks: Some(["gzip", "mcf", "ammp", "art"].map(Into::into).into()),
+            ..cold_request(2)
+        },
+    ];
+    // The results of one server over `store`, spelled exactly (`{:?}`
+    // keeps every bit of an `f64`).
+    let serve = || {
+        let mut cfg = ServerConfig::fast_test();
+        cfg.trace_store = Some(store.clone());
+        let server = Server::spawn(cfg).unwrap();
+        let mut client = Client::connect(server.addr()).unwrap();
+        let results: Vec<String> = requests
+            .iter()
+            .map(|req| match client.simulate(req.clone()).unwrap() {
+                Response::Result(r) => {
+                    assert_eq!(r.source, ResultSource::Simulated);
+                    format!("{:?}", r.result)
+                }
+                other => panic!("expected result, got {other:?}"),
+            })
+            .collect();
+        assert!(server.shutdown().fully_drained());
+        results
+    };
+
+    let first = serve();
+    let filled = store_listing(&store);
+    let names: Vec<&str> = filled.iter().map(|(name, ..)| name.as_str()).collect();
+    assert_eq!(names.len(), 6, "one file per distinct benchmark: {names:?}");
+    assert!(names.iter().all(|n| n.ends_with(".dtmtrace")), "{names:?}");
+
+    assert_eq!(serve(), first, "traces from the store give the same bits");
+    assert!(
+        store_listing(&store) == filled,
+        "the second server wrote to the store"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -587,7 +587,7 @@ impl TransientSolver {
     /// # Errors
     ///
     /// Fails on a non-physical `dt`, a singular system, or a propagator
-    /// that cannot be built (see [`crate::propagator`]).
+    /// that cannot be built (see [`SolverBackend::Propagator`]).
     pub fn prewarm(&mut self, dt: f64) -> Result<(), ThermalError> {
         if !(dt.is_finite() && dt > 0.0) {
             return Err(ThermalError::NotPhysical(format!("dt = {dt}")));

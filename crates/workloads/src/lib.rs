@@ -23,5 +23,5 @@ mod tracegen;
 mod workload;
 
 pub use profiles::{all_benchmarks, benchmark, Benchmark, PhaseSpec, Suite};
-pub use tracegen::{generate_trace, TraceGenConfig, TraceLibrary};
+pub use tracegen::{generate_trace, TraceGenConfig, TraceLibrary, TRACE_STORE};
 pub use workload::{standard_workloads, Workload};

@@ -18,6 +18,10 @@ use std::sync::{Arc, Mutex};
 /// process id.
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
+/// The trace store of the experiment binaries and `dtm_serve`, relative
+/// to the working directory (the repository root).
+pub const TRACE_STORE: &str = "target/trace-cache";
+
 /// Trace-generation parameters.
 #[derive(Debug, Clone)]
 pub struct TraceGenConfig {
@@ -96,6 +100,8 @@ pub fn generate_trace(bench: &Benchmark, cfg: &TraceGenConfig) -> PowerTrace {
 #[derive(Debug)]
 pub struct TraceLibrary {
     cfg: TraceGenConfig,
+    /// `cfg`'s half of every store file's fingerprint, spelled once.
+    cfg_spelling: String,
     cache: Mutex<HashMap<String, Arc<PowerTrace>>>,
     disk_dir: Option<PathBuf>,
     decodes: AtomicU64,
@@ -104,8 +110,13 @@ pub struct TraceLibrary {
 impl TraceLibrary {
     /// Creates an empty library with the given generation parameters.
     pub fn new(cfg: TraceGenConfig) -> Self {
+        let cfg_spelling = format!(
+            "|{:?}|{:?}|{}|{}|{}",
+            cfg.core, cfg.power, cfg.samples, cfg.sampling, cfg.warmup_cycles
+        );
         TraceLibrary {
             cfg,
+            cfg_spelling,
             cache: Mutex::new(HashMap::new()),
             disk_dir: None,
             decodes: AtomicU64::new(0),
@@ -127,14 +138,14 @@ impl TraceLibrary {
     /// generation parameters), used in disk-cache file names: editing a
     /// profile renames its trace file as it rekeys its cells.
     fn fingerprint(&self, bench: &Benchmark) -> u64 {
-        let cfg = &self.cfg;
-        let repr = format!(
-            "{bench:?}|{:?}|{:?}|{}|{}|{}",
-            cfg.core, cfg.power, cfg.samples, cfg.sampling, cfg.warmup_cycles
-        );
-        repr.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+        let fold = |h: u64, s: &str| {
+            s.bytes()
+                .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+        };
+        fold(
+            fold(0xcbf2_9ce4_8422_2325, &format!("{bench:?}")),
+            &self.cfg_spelling,
+        )
     }
 
     fn disk_path(&self, bench: &Benchmark) -> Option<PathBuf> {
@@ -172,18 +183,17 @@ impl TraceLibrary {
     }
 
     fn load_or_generate(&self, bench: &Benchmark) -> PowerTrace {
-        if let Some(path) = self.disk_path(bench) {
-            if let Ok(file) = std::fs::File::open(&path) {
-                if let Ok(trace) = PowerTrace::read_from(std::io::BufReader::new(file)) {
-                    return trace;
-                }
-                // Corrupt cache entry: fall through and regenerate.
-            }
-            let trace = generate_trace(bench, &self.cfg);
-            store(&path, &trace);
+        let Some(path) = self.disk_path(bench) else {
+            return generate_trace(bench, &self.cfg);
+        };
+        let stored = std::fs::read(&path).ok();
+        if let Some(trace) = stored.and_then(|bytes| PowerTrace::decode(&bytes).ok()) {
             return trace;
         }
-        generate_trace(bench, &self.cfg)
+        // A missing or corrupt entry: regenerate it and write it back.
+        let trace = generate_trace(bench, &self.cfg);
+        store(&path, &trace);
+        trace
     }
 
     /// Number of traces currently cached.
@@ -369,8 +379,8 @@ mod tests {
             b"half of another writer's trace",
             "the other writer's file must survive byte for byte"
         );
-        let published = std::fs::File::open(&path).unwrap();
-        assert_eq!(PowerTrace::read_from(published).unwrap(), fresh);
+        let published = std::fs::read(&path).unwrap();
+        assert_eq!(PowerTrace::decode(&published).unwrap(), fresh);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
 
         // A trace that cannot be published (its name is taken by a
@@ -381,6 +391,33 @@ mod tests {
         assert_eq!(*lib.trace(&b), fresh);
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn store_file_names_are_pinned() {
+        // A trace's file name is its address in every existing store:
+        // the names a change must keep, for a plain and a phased
+        // benchmark under both configurations.
+        let names = |cfg: TraceGenConfig| {
+            let lib = TraceLibrary::new(cfg).with_disk_cache("store");
+            ["gzip", "bzip2"].map(|b| lib.disk_path(&benchmark(b)).unwrap())
+        };
+        assert_eq!(
+            names(TraceGenConfig::default()),
+            [
+                "store/gzip-9bb803f590f12905.dtmtrace",
+                "store/bzip2-0f986405bf0dc53f.dtmtrace"
+            ]
+            .map(PathBuf::from)
+        );
+        assert_eq!(
+            names(TraceGenConfig::fast_test()),
+            [
+                "store/gzip-e31865096917e13b.dtmtrace",
+                "store/bzip2-fa8cc73367274e8d.dtmtrace"
+            ]
+            .map(PathBuf::from)
+        );
     }
 
     #[test]
